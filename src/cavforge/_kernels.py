@@ -1,18 +1,22 @@
-"""Pure-NumPy implementations of the hot frame kernels.
+"""The hot frame kernels: Hermite-Gaussian spot rendering and frame moments.
 
-Same contracts as the compiled module in ``_native.pyx``; used when the
-extension is not built or when ``CAVFORGE_KERNELS=python`` forces it.
+``physics`` and ``vision`` call these through the module (``_kernels.render_spot``),
+never by a name bound at import, so a caller can wrap them in one place.
 
-Every function here performs the same floating-point operations in the same
-order as its compiled twin, so both backends return bit-identical results on
-the same NumPy build and libm (with the default, non-contracting build
-flags; ``-ffast-math`` or FMA contraction in the extension is not covered).
-That is what keeps artifacts byte-identical whichever backend is active.
+The arithmetic is pinned, not left to NumPy's defaults: ``exp`` is libm's,
+sums run left to right from 0.0, and each product is formed in a fixed
+order. With the same layout, seed, NumPy build and libm, every artifact is
+byte-identical; a last-bit change here moves the seed-42 baseline output
+power by about 1e-7 relative.
 """
 
 import math
 
 import numpy as np
+
+# Name of the kernel implementation, exported as ``cavforge.BACKEND`` and
+# recorded with benchmark results. There is one: NumPy plus libm.
+BACKEND = "python"
 
 # render_spot adds its product in bands of about this many pixels, so the
 # temporary stays in cache instead of costing a fresh frame-sized buffer
@@ -20,16 +24,16 @@ _BAND_PIXELS = 8192
 
 
 def _exp(x):
-    # math.exp is the libm exp the compiled kernels call; np.exp is NumPy's
-    # own SIMD exp, which rounds some inputs differently in the last bit.
+    # math.exp is libm's exp; np.exp is NumPy's own SIMD exp, which rounds
+    # some inputs differently in the last bit.
     x = np.asarray(x, dtype=np.float64)
     out = np.fromiter(map(math.exp, x.ravel().tolist()), np.float64, x.size)
     return out.reshape(x.shape)
 
 
 def _seqsum(x):
-    # np.add.accumulate adds left to right like the compiled loop, where
-    # .sum() sums pairwise; the leading 0.0 is the loop's initial value.
+    # np.add.accumulate adds left to right, where .sum() sums pairwise; the
+    # leading 0.0 is the running sum's initial value.
     return 0.0 + float(np.add.accumulate(x)[-1])
 
 
@@ -105,7 +109,7 @@ def frame_moments(img, floor):
     img = np.asarray(img, dtype=np.float64)
     vmax = float(img.max()) if img.size else 0.0
     mask = img > floor
-    w = img[mask]  # row-major, the compiled loop's order
+    w = img[mask]  # row-major, the order the sums run in
     count = int(w.size)
     if count == 0:
         return (0.0, 0.0, 0.0, 0.0, 0.0, vmax, 0)

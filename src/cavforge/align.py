@@ -11,8 +11,6 @@ rule. Both report their history through :class:`OptTrace`.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -20,7 +18,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 from .errors import BeamLostError, DegenerateResponseError, NoLasingError, WorkspaceError
 from .physics import camera_view
@@ -80,10 +78,6 @@ class OptTrace:
     def __len__(self):
         return len(self.iterations)
 
-    @property
-    def iters_used(self) -> int:
-        return len(self.iterations)
-
     def summary(self) -> dict:
         return {
             "method": self.method,
@@ -94,26 +88,6 @@ class OptTrace:
             "wall_actions": self.wall_actions,
             **self.meta,
         }
-
-    def to_jsonl(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for it in self.iterations:
-                fh.write(json.dumps({
-                    "index": it.index,
-                    "params": list(it.params),
-                    "objective": it.objective,
-                    "best_objective": it.best_objective,
-                }) + "\n")
-
-    def to_csv(self, path) -> None:
-        n_params = max((len(it.params) for it in self.iterations), default=0)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index"] + [f"p{i}" for i in range(n_params)]
-                            + ["objective", "best_objective"])
-            for it in self.iterations:
-                writer.writerow([it.index, *(f"{p:.10g}" for p in it.params),
-                                 f"{it.objective:.10g}", f"{it.best_objective:.10g}"])
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +295,11 @@ def measure_beam_path(ws: Workspace, camera_id: str, x_positions=None,
 # ---------------------------------------------------------------------------
 # Gaussian-process optimizer
 
+# Expected-improvement candidates: a dense mesh of this many points per axis
+# up to two dimensions, this many Latin-hypercube samples above.
+_MESH_PER_AXIS = 64
+_LHS_CANDIDATES = 4096
+
 
 def latin_hypercube(rng: np.random.Generator, bounds, n: int) -> np.ndarray:
     """n stratified samples inside ``bounds``, one stratum per row per dim."""
@@ -393,9 +372,7 @@ def _space_filling(rng, bounds, observed, n_candidates=1024):
     return candidates[int(np.argmax(gaps))]
 
 
-def _propose(rng, bounds, X, y, length_scale, noise_scale, explore_weight,
-             mesh_per_axis, lhs_candidates, refine, exploit=False,
-             warp="none"):
+def _propose(rng, bounds, X, y, length_scale, noise_scale, exploit=False):
     b = np.asarray(bounds, dtype=float)
     d = b.shape[0]
     observed = np.vstack(X)
@@ -403,20 +380,12 @@ def _propose(rng, bounds, X, y, length_scale, noise_scale, explore_weight,
     if np.ptp(values) <= 0.0:
         # No gradient information at all yet: keep covering the box.
         return _space_filling(rng, b, observed)
-    if warp == "rank":
-        # Normal-scores transform: spots clipped at the sensor edge produce
-        # a wide plateau of similar costs that swamps the surrogate's signal
-        # variance; ranking flattens the plateau while keeping the low tail
-        # steep. Monotone, so the argmin and success ordering are untouched.
-        order = np.argsort(np.argsort(values, kind="stable"), kind="stable")
-        values = ndtri((order + 0.5) / len(values))
     gp = GaussianProcess(length_scale, noise_scale).fit(observed, values)
     if d <= 2:
-        axes = [np.linspace(lo, hi, mesh_per_axis) for lo, hi in b]
+        axes = [np.linspace(lo, hi, _MESH_PER_AXIS) for lo, hi in b]
         cands = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     else:
-        cands = latin_hypercube(rng, b, lhs_candidates)
-    xi = explore_weight * float(values.std())
+        cands = latin_hypercube(rng, b, _LHS_CANDIDATES)
     best = float(values.min())
 
     if exploit:
@@ -424,19 +393,19 @@ def _propose(rng, bounds, X, y, length_scale, noise_scale, explore_weight,
             return gp.predict(x)[0]
     else:
         def score(x):
-            return -expected_improvement(*gp.predict(x), best, xi)
+            return -expected_improvement(*gp.predict(x), best)
 
     scored = score(cands)
     pick = cands[int(np.argmin(scored))]
-    if refine:
-        def penalized(x):
-            clipped = np.clip(x, b[:, 0], b[:, 1])
-            return float(score(clipped[None, :])[0])
 
-        res = minimize(penalized, pick, method="Nelder-Mead",
-                       options={"xatol": 1e-3, "fatol": 1e-12, "maxfev": 80 * d})
-        if np.all(np.isfinite(res.x)) and res.fun <= float(np.min(scored)):
-            pick = np.clip(res.x, b[:, 0], b[:, 1])
+    def penalized(x):
+        clipped = np.clip(x, b[:, 0], b[:, 1])
+        return float(score(clipped[None, :])[0])
+
+    res = minimize(penalized, pick, method="Nelder-Mead",
+                   options={"xatol": 1e-3, "fatol": 1e-12, "maxfev": 80 * d})
+    if np.all(np.isfinite(res.x)) and res.fun <= float(np.min(scored)):
+        pick = np.clip(res.x, b[:, 0], b[:, 1])
     span = float(np.mean(b[:, 1] - b[:, 0]))
     if cdist(pick[None, :], observed).min() < 1e-8 * span:
         pick = _space_filling(rng, b, observed)
@@ -445,11 +414,9 @@ def _propose(rng, bounds, X, y, length_scale, noise_scale, explore_weight,
 
 def bayesian_optimize(objective, bounds, rng: np.random.Generator, *,
                       max_iters: int = 30, init_samples: int = 5,
-                      length_scale: float = 15.0, explore_weight: float = 0.0,
-                      noise_scale: float = 1e-4, success_cost=None,
-                      no_signal_cost=None, mesh_per_axis: int = 64,
-                      lhs_candidates: int = 4096, refine: bool = True,
-                      exploit_every: int = 0, warp: str = "none"):
+                      length_scale: float = 15.0, noise_scale: float = 1e-4,
+                      success_cost=None, no_signal_cost=None,
+                      exploit_every: int = 0):
     """Minimize a black-box objective inside a box with a GP surrogate.
 
     Starts from a Latin-hypercube batch (always evaluated in full), then
@@ -464,23 +431,18 @@ def bayesian_optimize(objective, bounds, rng: np.random.Generator, *,
     reversion to the prior mean keeps unexplored corners looking better
     than the true basin.
 
-    ``warp="rank"`` fits the surrogate to normal scores of the observed
-    values instead of the raw values, which suits objectives with wide
-    near-constant plateaus; ``"none"`` fits the raw values.
-
     ``no_signal_cost`` marks the sentinel the objective returns when it sees
     nothing at all. If the whole initial batch comes back at or above it,
-    the box is doubled about its center and re-sampled once; a second blank
-    batch raises :class:`BeamLostError` carrying the trace. All draws come
-    from ``rng``; equal seeds give equal runs.
+    the box is doubled about its center and re-sampled once, with no more
+    points than ``max_iters`` has left; a second blank batch, or no budget
+    left for one, raises :class:`BeamLostError` carrying the trace. All draws
+    come from ``rng``; equal seeds give equal runs.
     """
     b = np.asarray(bounds, dtype=float)
     if b.ndim != 2 or b.shape[1] != 2 or np.any(b[:, 0] >= b[:, 1]):
         raise WorkspaceError("bounds must be a list of increasing (lo, hi) pairs")
     if max_iters < 1:
         raise WorkspaceError("max_iters must be at least 1")
-    if warp not in ("none", "rank"):
-        raise WorkspaceError(f"unknown warp {warp!r}")
     trace = OptTrace(method="bayes")
     X, y = [], []
 
@@ -501,11 +463,13 @@ def bayesian_optimize(objective, bounds, rng: np.random.Generator, *,
     for x0 in latin_hypercube(rng, b, min(init_samples, max_iters)):
         evaluate(x0)
     if blank():
-        center = b.mean(axis=1)
-        half = b[:, 1] - b[:, 0]
-        b = np.column_stack([center - half, center + half])
-        for x0 in latin_hypercube(rng, b, init_samples):
-            evaluate(x0)
+        budget = max_iters - len(y)
+        if budget > 0:
+            center = b.mean(axis=1)
+            half = b[:, 1] - b[:, 0]
+            b = np.column_stack([center - half, center + half])
+            for x0 in latin_hypercube(rng, b, min(init_samples, budget)):
+                evaluate(x0)
         if blank():
             trace.meta["success_cost"] = success_cost
             raise BeamLostError(
@@ -516,8 +480,7 @@ def bayesian_optimize(objective, bounds, rng: np.random.Generator, *,
         proposals += 1
         exploit = exploit_every > 0 and proposals % exploit_every == 0
         evaluate(_propose(rng, b, X, y, length_scale, noise_scale,
-                          explore_weight, mesh_per_axis, lhs_candidates,
-                          refine, exploit=exploit, warp=warp))
+                          exploit=exploit))
     trace.converged = succeeded() if success_cost is not None else True
     trace.meta["success_cost"] = success_cost
     return trace.best_params, trace.best_objective, trace
@@ -535,11 +498,9 @@ class AngularOptConfig:
     max_iters: int = 30
     init_samples: int = 5
     length_scale_deg: float = 30.0
-    explore_weight: float = 0.0
     noise_scale: float = 1e-4
     success_radius_px: float | None = None
     exploit_every: int = 2
-    warp: str = "none"
 
 
 def align_resonator(ws: Workspace, mirror_id: str, camera_id: str, reference,
@@ -589,10 +550,9 @@ def align_resonator(ws: Workspace, mirror_id: str, camera_id: str, reference,
     best, _, trace = bayesian_optimize(
         objective, bounds, rng,
         max_iters=cfg.max_iters, init_samples=cfg.init_samples,
-        length_scale=cfg.length_scale_deg, explore_weight=cfg.explore_weight,
-        noise_scale=cfg.noise_scale, success_cost=radius,
-        no_signal_cost=penalty, exploit_every=cfg.exploit_every,
-        warp=cfg.warp)
+        length_scale=cfg.length_scale_deg, noise_scale=cfg.noise_scale,
+        success_cost=radius, no_signal_cost=penalty,
+        exploit_every=cfg.exploit_every)
     state["ws"] = set_knob_readings(state["ws"], mirror_id, *best)
     trace.wall_actions = state["ws"].action_count - actions0
     trace.meta.update(mirror=mirror_id, camera=camera_id,
@@ -639,8 +599,8 @@ def crystal_sweep(ws: Workspace, crystal_id: str, camera_id: str,
 def optimize_mode(ws: Workspace, knob_axes, camera_id: str,
                   rng: np.random.Generator, *, span_deg: float = 15.0,
                   max_iters: int = 30, init_samples: int = 5,
-                  length_scale_deg: float = 15.0, explore_weight: float = 0.0,
-                  noise_scale: float = 1e-4, sigma_ref_px=None,
+                  length_scale_deg: float = 15.0, noise_scale: float = 1e-4,
+                  sigma_ref_px=None,
                   objective_kind: str = "sqrtI_over_M2", success_value=None,
                   pump_power=None, noise_floor=DEFAULT_NOISE_FLOOR):
     """Joint knob search that maximizes emission quality on a camera.
@@ -692,8 +652,8 @@ def optimize_mode(ws: Workspace, knob_axes, camera_id: str,
     best, _, trace = bayesian_optimize(
         objective, bounds, rng,
         max_iters=max_iters, init_samples=init_samples,
-        length_scale=length_scale_deg, explore_weight=explore_weight,
-        noise_scale=noise_scale, success_cost=success_cost)
+        length_scale=length_scale_deg, noise_scale=noise_scale,
+        success_cost=success_cost)
     apply(best)
     trace.wall_actions = state["ws"].action_count - actions0
     trace.meta.update(camera=camera_id, knob_axes=[list(a) for a in axes],

@@ -22,7 +22,7 @@ from .simcore import (
     KnobPair,
     Pose,
     Workspace,
-    _rng_state_from_seed,
+    rng_state_from_seed,
 )
 
 SCHEMA_VERSION = 1
@@ -344,7 +344,7 @@ def build_workspace(layout: Layout, seed=None) -> Workspace:
     )
     return Workspace(
         components=(pump,),
-        rng_state=_rng_state_from_seed(layout.seed if seed is None else seed),
+        rng_state=rng_state_from_seed(layout.seed if seed is None else seed),
         placement_noise_sigma=layout.placement_noise_sigma,
         table_bounds=layout.table_bounds,
         physics=layout.physics,

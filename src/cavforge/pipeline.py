@@ -57,8 +57,8 @@ from .vision import beam_stats, centroid
 # lens offset) keeps the focus within a small fraction of the pump waist.
 _OC_RADIUS_PX = 8.0
 _IC_RADIUS_PX = 6.0
-_LENS_TOLERANCE_MM = 0.12
-_LENS_MAX_ITERS = 25
+LENS_TOLERANCE_MM = 0.12
+LENS_MAX_ITERS = 25
 _BS_WIDTH_FRACTION = 0.1
 _MODE_SPAN_DEG = 12.0
 _MODE_MAX_ITERS = 24
@@ -169,7 +169,13 @@ class _Roles:
     cam_arm: str | None
 
 
-def _resolve_roles(layout: Layout) -> _Roles:
+def resolve_roles(layout: Layout) -> _Roles:
+    """Id of the component in each bench role.
+
+    Each role takes the first component of its kind; the arm camera is the
+    one the splitter declares, else the second camera.
+    """
+
     def first(kind):
         recs = layout.records_of_kind(kind)
         return recs[0].id if recs else None
@@ -342,8 +348,8 @@ def _step_place_lens(state: PipelineState, step, rng, ctx) -> None:
     state.log_event(step, f"station {lens}")
     state.ws, trace = spatial_optimize(
         state.ws, lens, cam_main, target_px=(spot.x_px, spot.y_px),
-        cfg=SpatialOptConfig(tolerance_mm=_LENS_TOLERANCE_MM,
-                             max_iters=_LENS_MAX_ITERS))
+        cfg=SpatialOptConfig(tolerance_mm=LENS_TOLERANCE_MM,
+                             max_iters=LENS_MAX_ITERS))
     state.log_event(step, f"spatial optimize {lens}", trace.summary())
     if not trace.converged:
         raise ConstructionError(
@@ -515,7 +521,7 @@ def run_construction(layout: Layout, seed=None) -> PipelineState:
     state = PipelineState(ws=build_workspace(layout, seed), layout=layout,
                           seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, _CONTROLLER_STREAM]))
-    ctx: dict[str, Any] = {"roles": _resolve_roles(layout)}
+    ctx: dict[str, Any] = {"roles": resolve_roles(layout)}
     for step, run in _STEPS:
         try:
             run(state, step, rng, ctx)
@@ -610,7 +616,7 @@ def _signal_ok(state: PipelineState) -> bool:
 
 
 def _objective_ratio(state: PipelineState) -> float:
-    roles = _resolve_roles(state.layout)
+    roles = resolve_roles(state.layout)
     frame = camera_view(state.ws, _need(roles.cam_main, "main-axis camera"))
     stats = beam_stats(frame, sigma_ref_px=state.baseline["sigma_px"])
     if not stats.detected:
@@ -690,7 +696,7 @@ def recover_drift(state: PipelineState, rng=None, max_iters: int = 60,
     ends worse than its predecessor is rolled back before the next one.
     """
     _require_complete(state)
-    roles = _resolve_roles(state.layout)
+    roles = resolve_roles(state.layout)
     ic = _need(roles.ic, "input mirror")
     oc = _need(roles.oc, "output mirror")
     cam_main = _need(roles.cam_main, "main-axis camera")

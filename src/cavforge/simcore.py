@@ -168,7 +168,8 @@ class Component:
         )
 
 
-def _rng_state_from_seed(seed: int):
+def rng_state_from_seed(seed: int):
+    """PCG64 bit-generator state for ``seed``, as ``Workspace.rng_state`` holds it."""
     return np.random.Generator(np.random.PCG64(seed)).bit_generator.state
 
 
@@ -198,7 +199,7 @@ class Workspace:
     """
 
     components: tuple[Component, ...] = ()
-    rng_state: Mapping[str, Any] = field(default_factory=lambda: _rng_state_from_seed(0))
+    rng_state: Mapping[str, Any] = field(default_factory=lambda: rng_state_from_seed(0))
     placement_noise_sigma: float = 0.1
     table_bounds: tuple = DEFAULT_TABLE_BOUNDS
     snapshot: Mapping[str, Pose] | None = None
@@ -253,7 +254,7 @@ def new_workspace(seed: int, placement_noise_sigma: float = 0.1,
     if placement_noise_sigma < 0:
         raise WorkspaceError("placement_noise_sigma must be >= 0")
     return Workspace(
-        rng_state=_rng_state_from_seed(seed),
+        rng_state=rng_state_from_seed(seed),
         placement_noise_sigma=placement_noise_sigma,
         table_bounds=table_bounds,
         physics=physics,
@@ -448,7 +449,7 @@ def reseed(ws: Workspace, seed: int) -> Workspace:
     Useful for running independent perturbation trials from one built
     workspace: each trial reseeds its copy so the draws do not correlate.
     """
-    return dataclasses.replace(ws, rng_state=_rng_state_from_seed(seed))
+    return dataclasses.replace(ws, rng_state=rng_state_from_seed(seed))
 
 
 def take_snapshot(ws: Workspace) -> Workspace:

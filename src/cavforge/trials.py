@@ -25,11 +25,11 @@ from .errors import CavforgeError, ConstructionError, WorkspaceError
 from .layout import Layout, build_workspace
 from .physics import camera_view
 from .pipeline import (
-    _LENS_MAX_ITERS,
-    _LENS_TOLERANCE_MM,
-    _resolve_roles,
+    LENS_MAX_ITERS,
+    LENS_TOLERANCE_MM,
     recover_displacement,
     recover_drift,
+    resolve_roles,
     run_construction,
     surveillance_tick,
 )
@@ -100,13 +100,13 @@ def spatial_trials(layout: Layout, master_seed: int, n_trials: int = 20,
         tag, lo, hi = _TAG_SPATIAL_LENS, -1.25, 0.75
     else:
         raise WorkspaceError(f"unknown spatial stage {stage!r}")
-    roles = _resolve_roles(layout)
+    roles = resolve_roles(layout)
     target_id = roles.oc if stage == "oc" else roles.lens
     if stage == "oc":
         cfg = SpatialOptConfig(tolerance_mm=layout.physics.pump_waist_mm)
     else:
-        cfg = SpatialOptConfig(tolerance_mm=_LENS_TOLERANCE_MM,
-                               max_iters=_LENS_MAX_ITERS)
+        cfg = SpatialOptConfig(tolerance_mm=LENS_TOLERANCE_MM,
+                               max_iters=LENS_MAX_ITERS)
     rows = []
     for i in range(n_trials):
         seed = _child_seed(master_seed, tag, i, 0)
@@ -143,7 +143,7 @@ def angular_trials(layout: Layout, master_seed: int, n_trials: int = 10,
     reach the default success radius (the spot's own rendered radius) within
     the iteration budget.
     """
-    roles = _resolve_roles(layout)
+    roles = resolve_roles(layout)
     biases = latin_hypercube(_rng(master_seed, _TAG_ANGULAR, 9),
                              [(-155.0, 155.0), (-115.0, 115.0)], n_trials)
     rows = []
@@ -181,7 +181,7 @@ def displacement_trials(layout: Layout, master_seed: int, n_trials: int = 10,
                         build_seed=None) -> list:
     """Lens-displacement battery: one build, n independent cm-scale shoves."""
     state = run_construction(layout, build_seed)
-    roles = _resolve_roles(layout)
+    roles = resolve_roles(layout)
     rows = []
     for i in range(n_trials):
         child = _child_seed(master_seed, _TAG_DISPLACEMENT, i, 0)
@@ -203,7 +203,7 @@ def drift_trials(layout: Layout, master_seed: int, n_trials: int = 10,
                  build_seed=None, max_iters: int = 60) -> list:
     """Knob-creep battery: one build, n independent four-knob drifts."""
     state = run_construction(layout, build_seed)
-    roles = _resolve_roles(layout)
+    roles = resolve_roles(layout)
     rows = []
     for i in range(n_trials):
         child = _child_seed(master_seed, _TAG_DRIFT, i, 0)

@@ -5,41 +5,22 @@ import pytest
 from numpy.polynomial.hermite import hermval
 
 from cavforge import _kernels
-from cavforge._kernels import _pyfallback
-
-try:
-    from cavforge._kernels import _native
-except ImportError:
-    _native = None
-
-needs_native = pytest.mark.skipif(_native is None,
-                                  reason="compiled backend not built")
-
-BACKENDS = [_pyfallback] + ([_native] if _native is not None else [])
 
 
-def test_backend_selector_exports_a_known_backend():
-    assert _kernels.BACKEND in ("python", "native")
-    for name in ("hg_profile", "render_spot", "frame_moments"):
-        assert callable(getattr(_kernels, name))
-
-
-@pytest.mark.parametrize("mod", BACKENDS)
-def test_hg_profile_order_zero_is_a_plain_gaussian(mod):
+def test_hg_profile_order_zero_is_a_plain_gaussian():
     u = np.linspace(-3.0, 3.0, 41)
-    np.testing.assert_allclose(mod.hg_profile(u, 0), np.exp(-2.0 * u * u),
+    np.testing.assert_allclose(_kernels.hg_profile(u, 0), np.exp(-2.0 * u * u),
                                rtol=1e-13, atol=0)
 
 
-@pytest.mark.parametrize("mod", BACKENDS)
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
-def test_hg_profile_matches_hermite_polynomial_oracle(mod, order):
+def test_hg_profile_matches_hermite_polynomial_oracle(order):
     u = np.linspace(-2.5, 2.5, 37)
     coeffs = np.zeros(order + 1)
     coeffs[order] = 1.0
     h = hermval(math.sqrt(2.0) * u, coeffs)
     expected = h * h * np.exp(-2.0 * u * u) / (2.0 ** order * math.factorial(order))
-    np.testing.assert_allclose(mod.hg_profile(u, order), expected,
+    np.testing.assert_allclose(_kernels.hg_profile(u, order), expected,
                                rtol=1e-11, atol=1e-13)
 
 
@@ -52,46 +33,42 @@ def test_hg_profile_orders_carry_equal_power(order):
     assert integral == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-9)
 
 
-@pytest.mark.parametrize("mod", BACKENDS)
-def test_render_spot_separable_values(mod):
+def test_render_spot_separable_values():
     img = np.zeros((5, 7))
-    out = mod.render_spot(img, 3.0, 2.0, 1.5, 0.8, 0)
+    out = _kernels.render_spot(img, 3.0, 2.0, 1.5, 0.8, 0)
     assert out is img
     expected = 0.8 * math.exp(-2.0 * (1.0 / 1.5) ** 2) * math.exp(-2.0 * (2.0 / 1.5) ** 2)
     assert img[0, 2] == pytest.approx(expected, rel=1e-12)
     assert img[2, 3] == pytest.approx(0.8, rel=1e-12)
-    mod.render_spot(img, 3.0, 2.0, 1.5, 0.8, 0)
+    _kernels.render_spot(img, 3.0, 2.0, 1.5, 0.8, 0)
     assert img[2, 3] == pytest.approx(1.6, rel=1e-12)  # spots accumulate
 
 
-@pytest.mark.parametrize("mod", BACKENDS)
-def test_render_spot_rejects_bad_waist(mod):
+def test_render_spot_rejects_bad_waist():
     with pytest.raises(ValueError):
-        mod.render_spot(np.zeros((4, 4)), 1.0, 1.0, 0.0, 1.0, 0)
+        _kernels.render_spot(np.zeros((4, 4)), 1.0, 1.0, 0.0, 1.0, 0)
 
 
-@pytest.mark.parametrize("mod", BACKENDS)
-def test_frame_moments_frozen_two_pixel_case(mod):
+def test_frame_moments_frozen_two_pixel_case():
     img = np.zeros((3, 4))
     img[0, 1] = 0.5
     img[2, 3] = 1.5
-    total, cx, cy, var_x, var_y, vmax, count = mod.frame_moments(img, 0.1)
+    total, cx, cy, var_x, var_y, vmax, count = _kernels.frame_moments(img, 0.1)
     assert (total, count, vmax) == (2.0, 2, 1.5)
     assert (cx, cy) == (2.5, 1.5)
     assert var_x == pytest.approx(0.75)
     assert var_y == pytest.approx(0.75)
 
 
-@pytest.mark.parametrize("mod", BACKENDS)
-def test_frame_moments_dark_frame(mod):
-    total, cx, cy, var_x, var_y, vmax, count = mod.frame_moments(
+def test_frame_moments_dark_frame():
+    total, cx, cy, var_x, var_y, vmax, count = _kernels.frame_moments(
         np.full((4, 4), 0.01), 0.02)
     assert (total, cx, cy, var_x, var_y, count) == (0.0, 0.0, 0.0, 0.0, 0.0, 0)
     assert vmax == pytest.approx(0.01)
 
 
 def _loop_hg(u, order):
-    # the compiled hg_profile for one offset, in plain Python floats
+    # hg_profile for one offset, in plain Python floats
     norm = 1.0
     for k in range(1, order + 1):
         norm *= 2.0 * k
@@ -103,7 +80,7 @@ def _loop_hg(u, order):
 
 
 def _loop_render_spot(img, cx, cy, waist_px, amp, order):
-    # the compiled render_spot loop, one pixel at a time
+    # render_spot one pixel at a time, skipping rows whose factor is 0
     col = [_loop_hg((j - cx) / waist_px, order) for j in range(img.shape[1])]
     for i in range(img.shape[0]):
         uy = (i - cy) / waist_px
@@ -116,7 +93,7 @@ def _loop_render_spot(img, cx, cy, waist_px, amp, order):
 
 
 def _loop_frame_moments(img, floor):
-    # the compiled frame_moments loop: row-major running sums from 0.0
+    # frame_moments as row-major running sums from 0.0
     total = sx = sy = 0.0
     count = 0
     lit = [(i, j, float(img[i, j])) for i in range(img.shape[0])
@@ -139,7 +116,7 @@ def _loop_frame_moments(img, floor):
 
 def _random_spots(rng, height, width, n):
     # centres up to a few frames off the edge, narrow to wide waists, so
-    # whole rows underflow to 0 and the compiled loop skips them
+    # whole rows underflow to 0 and the reference loop skips them
     for i in range(n):
         yield (float(rng.uniform(-2 * width, 3 * width)),
                float(rng.uniform(-2 * height, 3 * height)),
@@ -149,45 +126,20 @@ def _random_spots(rng, height, width, n):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fallback_follows_the_compiled_loop_arithmetic(seed):
-    # bit-identical, not merely close: the backend must not move any output
+    # The _loop_* functions transcribe the compiled kernels the seed-42
+    # golden value was frozen on; they are the arithmetic reference.
+    # Bit-identical, not merely close: a last-bit change moves the outputs.
     rng = np.random.default_rng(seed)
-    img_fb = np.zeros((18, 24))
+    img_k = np.zeros((18, 24))
     img_loop = np.zeros((18, 24))
     # plus a narrow spot and one centred above the frame: both leave rows
     # whose factor underflows to 0
     spots = [*_random_spots(rng, 18, 24, 6),
              (10.0, 4.0, 0.4, 1.0, 2), (30.0, -12.0, 1.0, 0.7, 1)]
     for args in spots:
-        _pyfallback.render_spot(img_fb, *args)
+        _kernels.render_spot(img_k, *args)
         _loop_render_spot(img_loop, *args)
-    np.testing.assert_array_equal(img_fb, img_loop)
+    np.testing.assert_array_equal(img_k, img_loop)
     for floor in (0.0, 0.01, 0.3):
-        assert _pyfallback.frame_moments(img_fb, floor) == \
+        assert _kernels.frame_moments(img_k, floor) == \
             _loop_frame_moments(img_loop, floor)
-
-
-@needs_native
-def test_backends_agree_on_random_frames():
-    rng = np.random.default_rng(4)
-    img_py = np.zeros((64, 80))
-    img_nat = np.zeros((64, 80))
-    for args in _random_spots(rng, 64, 80, 24):
-        _pyfallback.render_spot(img_py, *args)
-        _native.render_spot(img_nat, *args)
-    np.testing.assert_array_equal(img_nat, img_py)
-    for floor in (0.0, 0.01, 0.05, 0.3, 0.5):
-        assert _native.frame_moments(img_nat, floor) == \
-            _pyfallback.frame_moments(img_py, floor)
-
-
-@needs_native
-def test_python_fallback_env_override(tmp_path):
-    import os
-    import subprocess
-    import sys
-
-    code = "import cavforge._kernels as k; print(k.BACKEND)"
-    out = subprocess.run([sys.executable, "-c", code],
-                         env={**os.environ, "CAVFORGE_KERNELS": "python"},
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "python"

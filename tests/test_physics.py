@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from _benches import bench, camera, lens, make_cavity, mirror, pump
-from cavforge.errors import MissingComponentError, TraceError
-from cavforge.physics import (PhysicsConfig, beam_radius, camera_view,
-                              cavity_response, fluorescence_power,
-                              primary_hit, q_at_waist, secondary_beam,
-                              trace_beam)
+from cavforge.errors import MissingComponentError, TraceError, WorkspaceError
+from cavforge.physics import (CameraFrame, PhysicsConfig, beam_radius,
+                              camera_view, cavity_response,
+                              fluorescence_power, primary_hit, q_at_waist,
+                              secondary_beam, trace_beam)
 from cavforge.simcore import (Component, ComponentKind, Pose,
                               inject_displacement, set_knob_readings)
 from cavforge.vision import beam_stats, centroid, mm_to_pixels
@@ -272,3 +272,12 @@ def test_higher_mode_renders_wider_than_fundamental():
     base = beam_stats(camera_view(make_cavity(), "cam1"))
     shifted = beam_stats(camera_view(make_cavity(tilt_oc_deg=0.03), "cam1"))
     assert max(shifted.sigma_px) > 1.5 * max(base.sigma_px)
+
+
+def test_camera_frame_rejects_nan():
+    # min/max comparisons are all false for NaN, so only the finiteness
+    # check keeps NaN pixels away from the frame kernels
+    img = np.zeros((3, 4))
+    img[1, 2] = np.nan
+    with pytest.raises(WorkspaceError, match="non-finite"):
+        CameraFrame(img, 0.01, "cam")
