@@ -112,7 +112,6 @@ class NewtonResult:
     converged: bool
     iterations: int
     final_error: float
-    history: tuple
 
 
 def newton_solve(measure, move, probe, tolerance, max_iters=10) -> NewtonResult:
@@ -122,20 +121,17 @@ def newton_solve(measure, move, probe, tolerance, max_iters=10) -> NewtonResult:
     land with noise; the readback keeps the slope estimate honest). Raises
     :class:`DegenerateResponseError` when a probe produces no response.
     """
-    history = []
     err = float(measure())
-    history.append(err)
     if abs(err) <= tolerance:
-        return NewtonResult(True, 0, err, tuple(history))
+        return NewtonResult(True, 0, err)
     for i in range(1, max_iters + 1):
         achieved = float(move(probe))
         probed = float(measure())
         move(newton_correction(err, achieved, probed - err))
         err = float(measure())
-        history.append(err)
         if abs(err) <= tolerance:
-            return NewtonResult(True, i, err, tuple(history))
-    return NewtonResult(False, max_iters, err, tuple(history))
+            return NewtonResult(True, i, err)
+    return NewtonResult(False, max_iters, err)
 
 
 @dataclass(frozen=True)
@@ -299,6 +295,9 @@ def measure_beam_path(ws: Workspace, camera_id: str, x_positions=None,
 # up to two dimensions, this many Latin-hypercube samples above.
 _MESH_PER_AXIS = 64
 _LHS_CANDIDATES = 4096
+# A space-filling probe is the one of this many Latin-hypercube samples that
+# lies farthest from every observed point.
+_SPACE_FILLING_CANDIDATES = 1024
 
 
 def latin_hypercube(rng: np.random.Generator, bounds, n: int) -> np.ndarray:
@@ -355,19 +354,19 @@ class GaussianProcess:
         return mu, np.sqrt(np.clip(var, 1e-18, None))
 
 
-def expected_improvement(mu, sigma, best, xi=0.0):
+def expected_improvement(mu, sigma, best):
     """EI of sampling a point under a minimization objective."""
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    improve = best - xi - mu
+    improve = best - mu
     z = np.divide(improve, sigma, out=np.zeros_like(mu), where=sigma > 0)
     pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     ei = improve * ndtr(z) + sigma * pdf
     return np.where(sigma > 0, ei, np.maximum(improve, 0.0))
 
 
-def _space_filling(rng, bounds, observed, n_candidates=1024):
-    candidates = latin_hypercube(rng, bounds, n_candidates)
+def _space_filling(rng, bounds, observed):
+    candidates = latin_hypercube(rng, bounds, _SPACE_FILLING_CANDIDATES)
     gaps = cdist(candidates, observed).min(axis=1)
     return candidates[int(np.argmax(gaps))]
 

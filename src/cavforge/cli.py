@@ -18,8 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import logging
-import os
 import sys
 from pathlib import Path
 
@@ -39,17 +37,6 @@ from .pipeline import (
     surveillance_tick,
 )
 from .simcore import ComponentKind, inject_displacement, randomize_knobs
-
-log = logging.getLogger(__name__)
-
-
-def _setup_logging() -> None:
-    name = os.environ.get("CAVFORGE_LOG", "WARNING").upper()
-    level = getattr(logging, name, None)
-    if not isinstance(level, int):
-        level = logging.WARNING
-    logging.basicConfig(level=level,
-                        format="%(levelname)s %(name)s: %(message)s")
 
 
 def _load_layout(args):
@@ -195,7 +182,7 @@ def cmd_power_curve(args) -> int:
     state = _load_state(args)
     out = _ensure_out(args)
     pump = state.ws.find_kind(ComponentKind.PUMP_SOURCE)[0]
-    operating = float(pump.param("power", 1.0))
+    operating = float(pump.param("power"))
     powers = np.linspace(0.0, operating, args.points)
     curve = measure_power_curve(state.ws, powers)
     with open(out / "power_curve.csv", "w", newline="", encoding="utf-8") as fh:
@@ -277,7 +264,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    _setup_logging()
     try:
         return args.func(args)
     except LayoutError as exc:

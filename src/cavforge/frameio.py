@@ -1,4 +1,4 @@
-"""Camera frame export and import: binary PGM (8-bit) and CSV."""
+"""Camera frame export (binary 8-bit PGM and CSV) and PGM import."""
 
 from __future__ import annotations
 
@@ -38,8 +38,3 @@ def read_pgm(path, pixel_pitch_mm: float = 0.01, camera_id: str = "") -> CameraF
 def write_csv(frame: CameraFrame, path):
     """Write raw intensities as CSV, one row per sensor row."""
     np.savetxt(path, frame.intensities, fmt="%.6g", delimiter=",")
-
-
-def read_csv(path, pixel_pitch_mm: float = 0.01, camera_id: str = "") -> CameraFrame:
-    data = np.loadtxt(path, delimiter=",")
-    return CameraFrame(np.atleast_2d(data), pixel_pitch_mm, camera_id)

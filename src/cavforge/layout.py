@@ -12,11 +12,12 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import LayoutError
 from .physics import PhysicsConfig
 from .simcore import (
+    COMPONENT_PARAMS,
     Component,
     ComponentKind,
     KnobPair,
@@ -35,22 +36,7 @@ _RECORD_FIELDS = {
     "id", "kind", "nominal_x_mm", "nominal_y_mm", "nominal_z_mm", "yaw_deg",
     "housing_offset_mm", "params",
 }
-_PARAMS_BY_KIND = {
-    ComponentKind.PUMP_SOURCE: {"power", "waist_mm"},
-    ComponentKind.MIRROR_IC: {"pump_transmission", "pump_reflectivity",
-                              "substrate_focal_mm", "knob_jitter_deg", "aperture_mm"},
-    ComponentKind.MIRROR_OC: {"pump_transmission", "pump_reflectivity",
-                              "substrate_focal_mm", "knob_jitter_deg", "aperture_mm"},
-    ComponentKind.LENS: {"focal_length_mm", "aperture_mm"},
-    ComponentKind.BEAM_SPLITTER: {"split_ratio", "arm_camera", "aperture_mm"},
-    ComponentKind.NDF: {"transmittance", "aperture_mm"},
-    ComponentKind.BPF: {"passband", "aperture_mm"},
-    ComponentKind.BEAM_BLOCK: {"aperture_mm"},
-    ComponentKind.CRYSTAL: {"theta_deg", "theta_opt_deg", "aperture_mm"},
-    ComponentKind.CAMERA: {"width_px", "height_px", "pixel_pitch_mm",
-                           "body_halfwidth_mm", "gain_pump", "gain_laser"},
-}
-_PHYSICS_FIELDS = set(PhysicsConfig().to_dict().keys())
+_PHYSICS_FIELDS = {f.name for f in fields(PhysicsConfig)}
 
 
 @dataclass(frozen=True)
@@ -143,13 +129,7 @@ def validate_layout(data: dict) -> Layout:
     if bounds[0][0] >= bounds[0][1] or bounds[1][0] >= bounds[1][1]:
         raise LayoutError("table bounds must be increasing intervals")
 
-    phys_raw = data.get("physics", {})
-    if not isinstance(phys_raw, dict):
-        raise LayoutError("physics must be an object")
-    unknown = set(phys_raw) - _PHYSICS_FIELDS
-    if unknown:
-        raise LayoutError(f"unknown physics fields: {sorted(unknown)}")
-    physics = PhysicsConfig.from_dict({**PhysicsConfig().to_dict(), **phys_raw})
+    physics = _validate_physics(data.get("physics", {}))
 
     comps = data.get("components")
     if not isinstance(comps, list) or not comps:
@@ -176,10 +156,12 @@ def validate_layout(data: dict) -> Layout:
         params = rec.get("params", {})
         if not isinstance(params, dict):
             raise LayoutError(f"{where} params must be an object")
-        allowed = _PARAMS_BY_KIND[kind]
-        unknown = set(params) - allowed
+        declared = COMPONENT_PARAMS[kind]
+        unknown = set(params) - set(declared)
         if unknown:
             raise LayoutError(f"{where} ({kind.value}) has unknown params: {sorted(unknown)}")
+        for key, value in params.items():
+            _require_type(value, declared[key][0], f"{where}.{key}")
         _validate_params(kind, params, where)
         records.append(ComponentRecord(
             id=cid,
@@ -204,6 +186,39 @@ def validate_layout(data: dict) -> Layout:
         records=tuple(records),
         raw=copy.deepcopy(data),
     )
+
+
+def _require_type(value, expected, where):
+    if expected is float:
+        _require_number(value, where)
+    elif not isinstance(value, expected) or isinstance(value, bool):
+        raise LayoutError(f"{where} must be {expected.__name__}, got {value!r}")
+
+
+def _validate_physics(raw) -> PhysicsConfig:
+    """PhysicsConfig with the layout's overrides, each checked against its field."""
+    if not isinstance(raw, dict):
+        raise LayoutError("physics must be an object")
+    unknown = set(raw) - _PHYSICS_FIELDS
+    if unknown:
+        raise LayoutError(f"unknown physics fields: {sorted(unknown)}")
+    values = {}
+    for name, value in raw.items():
+        where = f"physics.{name}"
+        if name == "mode_band_edges":
+            if not isinstance(value, (list, tuple)):
+                raise LayoutError(f"{where} must be a list of numbers")
+            edges = [_require_number(v, where) for v in value]
+            if any(a >= b for a, b in zip(edges, edges[1:])):
+                raise LayoutError(f"{where} must be increasing")
+            value = tuple(value)
+        elif name == "max_bounces":
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise LayoutError(f"{where} must be an integer >= 0, got {value!r}")
+        else:
+            _require_number(value, where)
+        values[name] = value
+    return replace(PhysicsConfig(), **values)
 
 
 def _validate_params(kind: ComponentKind, params: dict, where: str):

@@ -53,64 +53,6 @@ class PhysicsConfig:
     max_bounces: int = 6
     min_power_fraction: float = 1e-5
 
-    def to_dict(self):
-        d = {
-            "pump_wavelength_mm": self.pump_wavelength_mm,
-            "laser_wavelength_mm": self.laser_wavelength_mm,
-            "pump_waist_mm": self.pump_waist_mm,
-            "laser_waist_mm": self.laser_waist_mm,
-            "p_threshold": self.p_threshold,
-            "slope_efficiency": self.slope_efficiency,
-            "threshold_curvature": self.threshold_curvature,
-            "m_cutoff": self.m_cutoff,
-            "mode_band_edges": list(self.mode_band_edges),
-            "ref_tilt_deg": self.ref_tilt_deg,
-            "ref_lens_offset_mm": self.ref_lens_offset_mm,
-            "ref_crystal_deg": self.ref_crystal_deg,
-            "fluorescence_scale": self.fluorescence_scale,
-            "aperture_mm": self.aperture_mm,
-            "max_bounces": self.max_bounces,
-            "min_power_fraction": self.min_power_fraction,
-        }
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        kwargs = dict(d)
-        if "mode_band_edges" in kwargs:
-            kwargs["mode_band_edges"] = tuple(kwargs["mode_band_edges"])
-        return cls(**kwargs)
-
-
-@dataclass(frozen=True)
-class BeamSegment:
-    """One straight leg of a traced beam."""
-
-    x0: float
-    y0: float
-    z0: float
-    x1: float
-    y1: float
-    z1: float
-    sy: float
-    sz: float
-    sign: int
-    power: float
-    wavelength: str
-    w_mm: float
-    n_bounces: int
-    path: tuple = ()
-
-    @property
-    def origin(self):
-        return (self.x0, self.y0)
-
-    @property
-    def direction(self):
-        """Unit propagation vector in the table plane."""
-        v = np.array([self.sign, self.sign * self.sy], dtype=float)
-        return v / np.linalg.norm(v)
-
 
 @dataclass(frozen=True)
 class CameraHit:
@@ -129,7 +71,6 @@ class CameraHit:
 
 @dataclass
 class TraceResult:
-    segments: list = field(default_factory=list)
     hits: dict = field(default_factory=dict)
     primary_at: dict = field(default_factory=dict)
 
@@ -230,14 +171,18 @@ def _mirror_tilts_rad(comp: Component):
 
 
 def _camera_geometry(comp: Component):
-    width = int(comp.param("width_px", 640))
-    height = int(comp.param("height_px", 480))
-    pitch = float(comp.param("pixel_pitch_mm", 0.01))
+    width = int(comp.param("width_px"))
+    height = int(comp.param("height_px"))
+    pitch = float(comp.param("pixel_pitch_mm"))
     return width, height, pitch
 
 
 def _aperture(comp: Component, cfg: PhysicsConfig):
-    return float(comp.param("aperture_mm", cfg.aperture_mm))
+    # Layouts cannot give the pump an aperture; it takes the default.
+    if comp.kind == ComponentKind.PUMP_SOURCE:
+        return cfg.aperture_mm
+    aperture = comp.param("aperture_mm")
+    return cfg.aperture_mm if aperture is None else float(aperture)
 
 
 def trace_beam(ws: Workspace) -> TraceResult:
@@ -253,8 +198,9 @@ def trace_beam(ws: Workspace) -> TraceResult:
     if not pumps:
         raise TraceError("no pump source on the table")
     pump = pumps[0]
-    power0 = float(pump.param("power", 1.0))
-    waist = float(pump.param("waist_mm", cfg.pump_waist_mm))
+    power0 = float(pump.param("power"))
+    waist = pump.param("waist_mm")
+    waist = cfg.pump_waist_mm if waist is None else float(waist)
     ray0 = _Ray(
         x=pump.pose.x,
         y=pump.pose.y,
@@ -268,7 +214,7 @@ def trace_beam(ws: Workspace) -> TraceResult:
         n_bounces=0,
         path=(pump.id,),
     )
-    result = TraceResult(hits={})
+    result = TraceResult()
     _run_rays(ws, [ray0], result, power_floor=power0 * cfg.min_power_fraction)
     return result
 
@@ -287,11 +233,9 @@ def _run_rays(ws: Workspace, queue, result: TraceResult, power_floor):
         lam = wavelength_mm[ray.wavelength]
         nxt = _next_component(comps, ray, cfg)
         if nxt is None:
-            _record_segment(result, ray, _table_exit_x(ws, ray), lam)
             continue
         comp, y_at, z_at = nxt
         dx = comp.pose.x - ray.x
-        _record_segment(result, ray, comp.pose.x, lam)
         ray = replace(ray, x=comp.pose.x, y=y_at, z=z_at, q=ray.q + abs(dx),
                       path=ray.path + (comp.id,))
         if ray.wavelength == "pump" and ray.n_bounces == 0 and ray.sign == 1:
@@ -306,11 +250,11 @@ def _run_rays(ws: Workspace, queue, result: TraceResult, power_floor):
         if kind == ComponentKind.PUMP_SOURCE:
             continue
         if kind == ComponentKind.NDF:
-            tau = float(comp.param("transmittance", 1.0))
+            tau = float(comp.param("transmittance"))
             queue.append(replace(ray, power=ray.power * tau))
             continue
         if kind == ComponentKind.BPF:
-            if ray.wavelength == comp.param("passband", "laser"):
+            if ray.wavelength == comp.param("passband"):
                 queue.append(ray)
             continue
         if kind == ComponentKind.CRYSTAL:
@@ -321,12 +265,13 @@ def _run_rays(ws: Workspace, queue, result: TraceResult, power_floor):
             continue
         if kind == ComponentKind.BEAM_SPLITTER:
             _record_side_hit(ws, result, comp, ray, y_at, z_at, lam)
-            ratio = float(comp.param("split_ratio", 0.5))
+            ratio = float(comp.param("split_ratio"))
             queue.append(replace(ray, power=ray.power * (1.0 - ratio)))
             continue
         if kind in (ComponentKind.MIRROR_IC, ComponentKind.MIRROR_OC):
-            t = float(comp.param("pump_transmission", 0.5))
-            r = float(comp.param("pump_reflectivity", 1.0 - t))
+            t = float(comp.param("pump_transmission"))
+            r = comp.param("pump_reflectivity")
+            r = 1.0 - t if r is None else float(r)
             if ray.wavelength == "laser":
                 t, r = 1.0, 0.0
             transmitted = replace(ray, power=ray.power * t)
@@ -357,7 +302,7 @@ def _next_component(comps, ray: _Ray, cfg: PhysicsConfig):
         y_at = ray.y + ray.sy * (c.pose.x - ray.x)
         z_at = ray.z + ray.sz * (c.pose.x - ray.x)
         if c.kind == ComponentKind.CAMERA:
-            half = float(c.param("body_halfwidth_mm", 15.0))
+            half = float(c.param("body_halfwidth_mm"))
         else:
             half = _aperture(c, cfg)
         if abs(y_at - c.pose.y) > half or abs(z_at - c.pose.z) > half:
@@ -367,22 +312,6 @@ def _next_component(comps, ray: _Ray, cfg: PhysicsConfig):
     if best is None:
         return None
     return best[1], best[2], best[3]
-
-
-def _table_exit_x(ws: Workspace, ray: _Ray):
-    (xmin, xmax), _ = ws.table_bounds
-    return xmax if ray.sign > 0 else xmin
-
-
-def _record_segment(result: TraceResult, ray: _Ray, x1, lam):
-    y1 = ray.y + ray.sy * (x1 - ray.x)
-    z1 = ray.z + ray.sz * (x1 - ray.x)
-    result.segments.append(BeamSegment(
-        x0=ray.x, y0=ray.y, z0=ray.z, x1=x1, y1=y1, z1=z1,
-        sy=ray.sy, sz=ray.sz, sign=ray.sign, power=ray.power,
-        wavelength=ray.wavelength, w_mm=beam_radius(ray.q, lam),
-        n_bounces=ray.n_bounces, path=ray.path,
-    ))
 
 
 def _through_lens(ray: _Ray, comp: Component, focal_mm: float) -> _Ray:
@@ -397,7 +326,7 @@ def _through_lens(ray: _Ray, comp: Component, focal_mm: float) -> _Ray:
 
 
 def _record_camera_hit(result: TraceResult, cam: Component, ray: _Ray,
-                       y_at, z_at, lam, mode_order=0):
+                       y_at, z_at, lam):
     hit = CameraHit(
         camera_id=cam.id,
         u_mm=y_at - cam.pose.y,
@@ -407,7 +336,6 @@ def _record_camera_hit(result: TraceResult, cam: Component, ray: _Ray,
         wavelength=ray.wavelength,
         n_bounces=ray.n_bounces,
         path=ray.path,
-        mode_order=mode_order,
     )
     result.hits.setdefault(cam.id, []).append(hit)
 
@@ -419,7 +347,7 @@ def _record_side_hit(ws: Workspace, result: TraceResult, bs: Component,
         return
     cam = ws.component(cam_id)
     arm = abs(cam.pose.y - bs.pose.y)
-    ratio = float(bs.param("split_ratio", 0.5))
+    ratio = float(bs.param("split_ratio"))
     u = (y_at - bs.pose.y) + ray.sign * ray.sy * arm - (cam.pose.x - bs.pose.x)
     v = (z_at - bs.pose.z) + ray.sign * ray.sz * arm - cam.pose.z
     hit = CameraHit(
@@ -485,7 +413,7 @@ def render_frame(hits, camera: Component) -> CameraFrame:
     width, height, pitch = _camera_geometry(camera)
     img = np.zeros((height, width), dtype=np.float64)
     for hit in hits:
-        gain = float(camera.param(f"gain_{hit.wavelength}", 1.0))
+        gain = float(camera.param(f"gain_{hit.wavelength}"))
         amp = gain * hit.power
         if amp <= 0.0:
             continue
@@ -520,7 +448,7 @@ def cavity_response(ws: Workspace, pump_power=None, trace=None) -> CavityState:
         pump = ws.find_kind(ComponentKind.PUMP_SOURCE)
         if not pump:
             raise TraceError("no pump source on the table")
-        pump_power = float(pump[0].param("power", 1.0))
+        pump_power = float(pump[0].param("power"))
     pump_power = float(pump_power)
 
     if trace is None:
@@ -535,8 +463,8 @@ def cavity_response(ws: Workspace, pump_power=None, trace=None) -> CavityState:
         lens_off = float("inf")
     else:
         lens_off = math.hypot(arrival[0] - lens.pose.y, arrival[1] - lens.pose.z)
-    theta = float(crystal.param("theta_deg", 0.0))
-    theta_opt = float(crystal.param("theta_opt_deg", 0.0))
+    theta = float(crystal.param("theta_deg"))
+    theta_opt = float(crystal.param("theta_opt_deg"))
 
     pumped = crystal.id in trace.primary_at
     if not pumped or not math.isfinite(lens_off):
@@ -603,7 +531,7 @@ def _laser_hits(ws: Workspace, cav: CavityState, trace: TraceResult):
         q=q_at_waist(cfg.laser_waist_mm, cfg.laser_wavelength_mm),
         n_bounces=0, path=(crystal.id,),
     )
-    sub = TraceResult(hits={})
+    sub = TraceResult()
     _run_rays(ws, [ray], sub, power_floor=power * cfg.min_power_fraction)
     out = []
     for hits in sub.hits.values():

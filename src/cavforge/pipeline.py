@@ -376,7 +376,7 @@ def _step_align_ic(state: PipelineState, step, rng, ctx) -> None:
     reference = state.reference_frames.get(cam_main)
     if reference is None:
         raise WorkspaceError(f"no reference frame stored for {cam_main}")
-    transmission = float(state.ws.component(ic).param("pump_transmission", 1.0))
+    transmission = float(state.ws.component(ic).param("pump_transmission"))
     state.ws, trace = align_resonator(
         state.ws, ic, cam_main, reference, rng,
         cfg=AngularOptConfig(success_radius_px=_IC_RADIUS_PX),
@@ -448,7 +448,7 @@ def _step_verify_lasing(state: PipelineState, step, rng, ctx) -> None:
     roles = ctx["roles"]
     cam_main = _need(roles.cam_main, "main-axis camera")
     pump_id = _need(roles.pump, "pump source")
-    operating = float(state.ws.component(pump_id).param("power", 1.0))
+    operating = float(state.ws.component(pump_id).param("power"))
     curve = measure_power_curve(state.ws, np.linspace(0.0, operating, 11))
     cav = cavity_response(state.ws)
     if not cav.lasing:
@@ -549,13 +549,6 @@ class PowerCurveFit:
     threshold: float
     slope: float
     points: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "slope": self.slope,
-            "points": [list(p) for p in self.points],
-        }
 
 
 def measure_power_curve(ws: Workspace, pump_powers) -> PowerCurveFit:

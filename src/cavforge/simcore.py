@@ -124,7 +124,62 @@ class ComponentKind(str, Enum):
     CAMERA = "Camera"
 
 
-MIRROR_KINDS = (ComponentKind.MIRROR_IC, ComponentKind.MIRROR_OC)
+# Every parameter a component may declare, by kind: its type and the value a
+# component that omits it reads. ``None`` marks a parameter with no fixed
+# default: a lens must declare ``focal_length_mm``; the physics falls back to
+# a PhysicsConfig field for ``aperture_mm`` and ``waist_mm`` and to
+# 1 - ``pump_transmission`` for ``pump_reflectivity``; a mirror without
+# ``substrate_focal_mm`` has a flat substrate, and a splitter without
+# ``arm_camera`` feeds no camera.
+_MIRROR_PARAMS = {
+    "pump_transmission": (float, 0.5),
+    "pump_reflectivity": (float, None),
+    "substrate_focal_mm": (float, None),
+    "knob_jitter_deg": (float, 0.0),
+    "aperture_mm": (float, None),
+}
+
+COMPONENT_PARAMS = {
+    ComponentKind.PUMP_SOURCE: {
+        "power": (float, 1.0),
+        "waist_mm": (float, None),
+    },
+    ComponentKind.MIRROR_IC: _MIRROR_PARAMS,
+    ComponentKind.MIRROR_OC: _MIRROR_PARAMS,
+    ComponentKind.LENS: {
+        "focal_length_mm": (float, None),
+        "aperture_mm": (float, None),
+    },
+    ComponentKind.BEAM_SPLITTER: {
+        "split_ratio": (float, 0.5),
+        "arm_camera": (str, None),
+        "aperture_mm": (float, None),
+    },
+    ComponentKind.NDF: {
+        "transmittance": (float, 1.0),
+        "aperture_mm": (float, None),
+    },
+    ComponentKind.BPF: {
+        "passband": (str, "laser"),
+        "aperture_mm": (float, None),
+    },
+    ComponentKind.BEAM_BLOCK: {
+        "aperture_mm": (float, None),
+    },
+    ComponentKind.CRYSTAL: {
+        "theta_deg": (float, 0.0),
+        "theta_opt_deg": (float, 0.0),
+        "aperture_mm": (float, None),
+    },
+    ComponentKind.CAMERA: {
+        "width_px": (int, 640),
+        "height_px": (int, 480),
+        "pixel_pitch_mm": (float, 0.01),
+        "body_halfwidth_mm": (float, 15.0),
+        "gain_pump": (float, 1.0),
+        "gain_laser": (float, 1.0),
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -139,8 +194,12 @@ class Component:
     housing_offset: float = 0.0
     seq: int = 0
 
-    def param(self, key, default=None):
-        return self.params.get(key, default)
+    def param(self, key):
+        """The declared value of ``key``, else its COMPONENT_PARAMS default.
+
+        Raises KeyError for a name the component's kind does not have.
+        """
+        return self.params.get(key, COMPONENT_PARAMS[self.kind][key][1])
 
     def to_dict(self):
         d = {
@@ -300,8 +359,8 @@ def place_component(ws: Workspace, component: Component, target: Pose) -> Worksp
     dx = g.normal(0.0, ws.placement_noise_sigma)
     dy = g.normal(0.0, ws.placement_noise_sigma)
     knobs = component.knobs
-    jitter = float(component.param("knob_jitter_deg", 0.0) or 0.0)
-    if knobs is not None and jitter > 0.0:
+    jitter = 0.0 if knobs is None else float(component.param("knob_jitter_deg"))
+    if jitter > 0.0:
         knobs = dataclasses.replace(
             knobs,
             bias_h_deg=g.uniform(-jitter, jitter),

@@ -71,17 +71,12 @@ def _row(**kw) -> dict:
     return base
 
 
-def _nominal_station(layout: Layout, component_id: str) -> Pose:
-    rec = layout.record(component_id)
-    return Pose(rec.x, rec.y, rec.z, rec.yaw)
-
-
 def _stage_bench(layout: Layout, seed: int, ids):
     """Workspace with just the listed components down at their stations."""
     ws = build_workspace(layout, seed)
     for cid in ids:
         ws = place_component(ws, layout.template(cid),
-                             _nominal_station(layout, cid))
+                             layout.record(cid).nominal_pose())
     return ws
 
 
@@ -152,7 +147,7 @@ def angular_trials(layout: Layout, master_seed: int, n_trials: int = 10,
         ws = _stage_bench(layout, seed, [roles.ndf, roles.cam_arm, roles.bs])
         reference = camera_view(ws, roles.cam_arm)
         ws = place_component(ws, layout.template(roles.oc),
-                             _nominal_station(layout, roles.oc))
+                             layout.record(roles.oc).nominal_pose())
         bias_h, bias_v = float(biases[i][0]), float(biases[i][1])
         ws = set_knob_bias(ws, roles.oc, bias_h, bias_v)
         try:

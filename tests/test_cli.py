@@ -1,9 +1,12 @@
 import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
+import sys
 from importlib import metadata
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +71,12 @@ def test_invalid_layout_value_exits_2(tmp_path, capsys):
                     "--set", "components.lens.params.focal_length_mm=0"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    code, _ = _run(["build", "--out", str(tmp_path),
+                    "--set", 'physics.p_threshold="x"'])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
 
 
 def test_failed_build_exits_1_and_keeps_diagnostics(tmp_path, capsys):
@@ -155,6 +164,16 @@ def test_render_exports_frames_and_raw_csv(built_dir):
     assert "cam1_step12.pgm" in written and "cam1_step12.csv" in written
     for name in written:
         assert (built_dir / name).exists()
+
+
+def test_module_entry_point_runs_from_a_checkout():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "cavforge", "--help"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: cavforge")
 
 
 def _distribution_installed(name):

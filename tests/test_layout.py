@@ -32,6 +32,9 @@ def test_default_layout_validates():
     (lambda d: d.update(table_bounds_mm="wide"), "table_bounds_mm"),
     (lambda d: d.update(physics=[1]), "physics must be an object"),
     (lambda d: d["physics"].update(gravity=9.8), "unknown physics fields"),
+    (lambda d: d["physics"].update(p_threshold="x"), "physics.p_threshold"),
+    (lambda d: d["physics"].update(mode_band_edges=3), "physics.mode_band_edges"),
+    (lambda d: d["physics"].update(max_bounces=1.5), "physics.max_bounces"),
     (lambda d: d.update(components=[]), "non-empty list"),
 ])
 def test_top_level_validation(mutate, message):
@@ -68,6 +71,8 @@ def _component(data, cid):
      "width_px"),
     (lambda d: _component(d, "cam1")["params"].update(pixel_pitch_mm=0),
      "pixel_pitch_mm"),
+    (lambda d: _component(d, "cam1")["params"].update(gain_pump="x"),
+     "gain_pump must be a finite number"),
     (lambda d: _component(d, "pump").update(nominal_x_mm=float("nan")),
      "finite number"),
 ])

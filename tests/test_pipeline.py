@@ -135,6 +135,19 @@ def test_construction_succeeds_without_placement_noise():
     assert built.baseline["mode_order"] == 0
 
 
+def test_omitted_mirror_transmission_builds_like_its_default():
+    # An input mirror that omits pump_transmission passes half the pump, in
+    # the tracer and in step 9's reference scale alike.
+    baselines = []
+    for params in ({}, {"pump_transmission": 0.5}):
+        raw = default_layout()
+        ic = next(c for c in raw["components"] if c["id"] == "ic")
+        del ic["params"]["pump_transmission"], ic["params"]["pump_reflectivity"]
+        ic["params"].update(params)
+        baselines.append(run_construction(validate_layout(raw), 42).baseline)
+    assert baselines[0] == baselines[1]
+
+
 def test_power_curve_recovers_the_configured_lasing_law():
     fit = measure_power_curve(make_cavity(), np.linspace(0.0, 2.0, 11))
     assert fit.threshold == pytest.approx(1.0, rel=1e-9)
