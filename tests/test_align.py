@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from _benches import bench, camera, make_cavity, mirror, pump
@@ -30,6 +30,8 @@ def test_newton_correction_rejects_flat_response():
 
 @given(st.floats(0.1, 10.0), st.booleans(), st.floats(-5.0, 5.0),
        st.floats(-5.0, 5.0))
+# a start whose signal is exactly the tolerance converges without a move
+@example(gain=0.1, flip=False, root=0.0, start=1e-8)
 def test_newton_solve_nails_affine_maps_in_one_iteration(gain, flip, root, start):
     gain = -gain if flip else gain
     pos = {"x": start}
@@ -41,10 +43,16 @@ def test_newton_solve_nails_affine_maps_in_one_iteration(gain, flip, root, start
         pos["x"] += delta
         return delta
 
+    first = measure()
     result = newton_solve(measure, move, probe=0.5, tolerance=1e-9)
     assert result.converged
     assert result.iterations <= 1
-    assert abs(result.final_error) < 1e-9
+    if result.iterations == 0:
+        # within tolerance (inclusive) at the start: nothing moved
+        assert abs(first) <= 1e-9
+        assert result.final_error == first
+    else:
+        assert abs(result.final_error) < 1e-9
 
 
 def test_newton_solve_gives_up_on_a_dead_signal():
