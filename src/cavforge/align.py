@@ -22,11 +22,18 @@ from scipy.special import ndtr
 
 from .errors import BeamLostError, DegenerateResponseError, NoLasingError, WorkspaceError
 from .physics import camera_view
-from .simcore import Workspace, move_component, rotate_crystal, set_knob_readings, turn_knob
+from .simcore import (
+    Workspace,
+    apply_knob_readings,
+    knob_readings,
+    move_component,
+    rotate_crystal,
+    set_knob_readings,
+)
 from .vision import (
-    DEFAULT_NOISE_FLOOR,
     beam_stats,
     centroid,
+    emission_score,
     log_transform,
     sensor_center_px,
     subtract_reference,
@@ -134,41 +141,40 @@ def newton_solve(measure, move, probe, tolerance, max_iters=10) -> NewtonResult:
     return NewtonResult(False, max_iters, err)
 
 
+# Size of the probe move that measures the placement response; it must stand
+# clear of the grip noise.
+_PROBE_MM = 0.3
+
+
 @dataclass(frozen=True)
 class SpatialOptConfig:
     """Settings for camera-guided transverse placement."""
 
-    probe_mm: float = 0.3
     tolerance_mm: float | None = None
     max_iters: int = 10
-    axes: tuple = ("y",)
 
 
 def spatial_optimize(ws: Workspace, component_id: str, camera_id: str,
-                     target_px=None, cfg: SpatialOptConfig | None = None,
-                     pump_power=None):
-    """Shift a component until the camera spot sits on ``target_px``.
+                     target_px=None, cfg: SpatialOptConfig | None = None):
+    """Shift a component along table y until the camera spot sits on
+    ``target_px``.
 
-    Table axis y maps to the sensor x axis and table z to sensor y, one
-    Newton loop per requested axis. The default tolerance is the spot's
-    1/e^2 radius as first measured. Returns the adjusted workspace and a
-    trace of every measurement.
+    Table y maps to the sensor x axis; one Newton loop walks the spot's
+    sensor-x offset to zero. The default tolerance is the spot's 1/e^2
+    radius as first measured. Returns the adjusted workspace and a trace of
+    every measurement.
     """
     cfg = cfg or SpatialOptConfig()
-    sensor_axis = {"y": 0, "z": 1}
-    for axis in cfg.axes:
-        if axis not in sensor_axis:
-            raise WorkspaceError(f"spatial axis must be 'y' or 'z', got {axis!r}")
-    if cfg.probe_mm <= ws.placement_noise_sigma:
+    if _PROBE_MM <= ws.placement_noise_sigma:
         raise WorkspaceError(
-            f"probe of {cfg.probe_mm} mm would drown in placement noise "
+            f"probe of {_PROBE_MM} mm would drown in placement noise "
             f"(sigma {ws.placement_noise_sigma} mm)")
     actions0 = ws.action_count
     state = {"ws": ws}
     trace = OptTrace(method="newton")
 
     def snap():
-        frame = camera_view(state["ws"], camera_id, pump_power=pump_power)
+        frame = camera_view(state["ws"], camera_id)
         stats = beam_stats(frame)
         if not stats.detected:
             raise BeamLostError(
@@ -182,42 +188,25 @@ def spatial_optimize(ws: Workspace, component_id: str, camera_id: str,
     if tolerance is None:
         tolerance = 2.0 * max(stats.sigma_px) * pitch
 
-    def errors(stats):
-        return tuple((stats.centroid_px[sensor_axis[a]] - target[sensor_axis[a]]) * pitch
-                     for a in cfg.axes)
+    def error(stats):
+        return (stats.centroid_px[0] - target[0]) * pitch
 
-    def make_measure(axis):
-        idx = sensor_axis[axis]
+    def measure():
+        _, stats = snap()
+        err = error(stats)
+        trace.record((state["ws"].component(component_id).pose.y,), abs(err))
+        return err
 
-        def measure():
-            _, stats = snap()
-            err = (stats.centroid_px[idx] - target[idx]) * pitch
-            pose = state["ws"].component(component_id).pose
-            trace.record((getattr(pose, axis),), abs(err))
-            return err
+    def move(delta):
+        pose = state["ws"].component(component_id).pose
+        state["ws"] = move_component(state["ws"], component_id,
+                                     pose.shifted(dy=float(delta)))
+        return state["ws"].component(component_id).pose.y - pose.y
 
-        return measure
-
-    def make_move(axis):
-        def move(delta):
-            comp = state["ws"].component(component_id).pose
-            before = getattr(comp, axis)
-            state["ws"] = move_component(
-                state["ws"], component_id,
-                comp.shifted(**{f"d{axis}": float(delta)}))
-            return getattr(state["ws"].component(component_id).pose, axis) - before
-
-        return move
-
-    converged = True
-    for axis in cfg.axes:
-        result = newton_solve(make_measure(axis), make_move(axis),
-                              cfg.probe_mm, tolerance, cfg.max_iters)
-        converged = converged and result.converged
-
+    result = newton_solve(measure, move, _PROBE_MM, tolerance, cfg.max_iters)
     _, stats = snap()
-    final = math.hypot(*errors(stats)) if len(cfg.axes) > 1 else abs(errors(stats)[0])
-    trace.converged = converged and final <= tolerance
+    final = abs(error(stats))
+    trace.converged = result.converged and final <= tolerance
     trace.wall_actions = state["ws"].action_count - actions0
     trace.meta.update(component=component_id, camera=camera_id,
                       tolerance_mm=tolerance, final_error_mm=final,
@@ -257,11 +246,15 @@ def fit_beam_path(xs, ys) -> BeamPathFit:
     )
 
 
-def measure_beam_path(ws: Workspace, camera_id: str, x_positions=None,
-                      pump_power=None):
+# Beam-path survey stations, in mm before the camera's home station.
+_SURVEY_OFFSETS_MM = (240.0, 160.0, 80.0, 0.0)
+
+
+def measure_beam_path(ws: Workspace, camera_id: str):
     """Survey the beam line by rolling a camera along the table.
 
-    At every station the camera is first recentered on the beam (its own
+    The camera visits the stations ``_SURVEY_OFFSETS_MM`` before its home
+    station. At every station it is first recentered on the beam (its own
     spatial loop, which is a no-op when the spot is already near center),
     then the beam's absolute transverse position is read as the camera pose
     plus the residual centroid offset; pose readback is exact, so grip noise
@@ -270,13 +263,11 @@ def measure_beam_path(ws: Workspace, camera_id: str, x_positions=None,
     """
     cam = ws.component(camera_id)
     home = cam.pose
-    if x_positions is None:
-        x_positions = tuple(home.x - d for d in (240.0, 160.0, 80.0, 0.0))
     xs, ys = [], []
-    for x in x_positions:
-        ws = move_component(ws, camera_id, home.shifted(dx=float(x) - home.x))
-        ws, _ = spatial_optimize(ws, camera_id, camera_id, pump_power=pump_power)
-        frame = camera_view(ws, camera_id, pump_power=pump_power)
+    for x in (home.x - d for d in _SURVEY_OFFSETS_MM):
+        ws = move_component(ws, camera_id, home.shifted(dx=x - home.x))
+        ws, _ = spatial_optimize(ws, camera_id, camera_id)
+        frame = camera_view(ws, camera_id)
         spot = centroid(frame)
         if not spot.detected:
             raise BeamLostError(f"no spot on {camera_id} at x={x:.1f}")
@@ -488,6 +479,13 @@ def bayesian_optimize(objective, bounds, rng: np.random.Generator, *,
 # ---------------------------------------------------------------------------
 # Instrument-level search stages
 
+# Every second mirror-alignment proposal exploits the posterior mean (see
+# ``bayesian_optimize``): the retro-spot distance is funnel-shaped.
+_ALIGN_EXPLOIT_EVERY = 2
+# The crystal sweep scans 0 degrees up to this angle in steps of this size.
+_SWEEP_MAX_DEG = 3.0
+_SWEEP_STEP_DEG = 0.2
+
 
 @dataclass(frozen=True)
 class AngularOptConfig:
@@ -499,13 +497,11 @@ class AngularOptConfig:
     length_scale_deg: float = 30.0
     noise_scale: float = 1e-4
     success_radius_px: float | None = None
-    exploit_every: int = 2
 
 
 def align_resonator(ws: Workspace, mirror_id: str, camera_id: str, reference,
                     rng: np.random.Generator, cfg: AngularOptConfig | None = None,
-                    reference_scale=None, pump_power=None,
-                    noise_floor=DEFAULT_NOISE_FLOOR):
+                    reference_scale=None):
     """Point a cavity mirror so its reflection lands back on the main spot.
 
     ``reference`` is a frame captured with the reflection absent; the live
@@ -520,7 +516,7 @@ def align_resonator(ws: Workspace, mirror_id: str, camera_id: str, reference,
     knobs = ws.component(mirror_id).knobs
     if knobs is None:
         raise WorkspaceError(f"component {mirror_id!r} has no knobs to align")
-    anchor = centroid(reference, noise_floor)
+    anchor = centroid(reference)
     if not anchor.detected:
         raise BeamLostError(f"reference frame for {mirror_id} shows no spot")
     scaled = reference.scaled(reference_scale) if reference_scale is not None else reference
@@ -528,7 +524,7 @@ def align_resonator(ws: Workspace, mirror_id: str, camera_id: str, reference,
     penalty = 2.0 * math.hypot(reference.width, reference.height)
     radius = cfg.success_radius_px
     if radius is None:
-        stats = beam_stats(reference, noise_floor)
+        stats = beam_stats(reference)
         radius = 2.0 * max(stats.sigma_px)
 
     actions0 = ws.action_count
@@ -537,9 +533,9 @@ def align_resonator(ws: Workspace, mirror_id: str, camera_id: str, reference,
     def objective(readings):
         h, v = readings
         state["ws"] = set_knob_readings(state["ws"], mirror_id, h, v)
-        frame = camera_view(state["ws"], camera_id, pump_power=pump_power)
+        frame = camera_view(state["ws"], camera_id)
         diff = subtract_reference(log_transform(frame), reference_log)
-        spot = centroid(diff, noise_floor)
+        spot = centroid(diff)
         if not spot.detected:
             return penalty
         return math.hypot(spot.x_px - anchor.x_px, spot.y_px - anchor.y_px)
@@ -551,7 +547,7 @@ def align_resonator(ws: Workspace, mirror_id: str, camera_id: str, reference,
         max_iters=cfg.max_iters, init_samples=cfg.init_samples,
         length_scale=cfg.length_scale_deg, noise_scale=cfg.noise_scale,
         success_cost=radius, no_signal_cost=penalty,
-        exploit_every=cfg.exploit_every)
+        exploit_every=_ALIGN_EXPLOIT_EVERY)
     state["ws"] = set_knob_readings(state["ws"], mirror_id, *best)
     trace.wall_actions = state["ws"].action_count - actions0
     trace.meta.update(mirror=mirror_id, camera=camera_id,
@@ -559,34 +555,30 @@ def align_resonator(ws: Workspace, mirror_id: str, camera_id: str, reference,
     return state["ws"], trace
 
 
-def crystal_sweep(ws: Workspace, crystal_id: str, camera_id: str,
-                  theta_range=(0.0, 3.0), step_deg: float = 0.2,
-                  pump_power=None, noise_floor=DEFAULT_NOISE_FLOOR):
+def crystal_sweep(ws: Workspace, crystal_id: str, camera_id: str):
     """Grid-scan the crystal angle and park it where emission peaks.
 
+    The scan runs from 0 to ``_SWEEP_MAX_DEG`` in ``_SWEEP_STEP_DEG`` steps.
     Raises :class:`NoLasingError` when the whole range stays dark. The trace
     records the negated camera total per angle.
     """
-    lo, hi = float(theta_range[0]), float(theta_range[1])
-    if step_deg <= 0 or hi <= lo:
-        raise WorkspaceError("need an increasing range and positive step")
     actions0 = ws.action_count
     trace = OptTrace(method="sweep")
     best_theta = None
     best_total = 0.0
-    steps = int(round((hi - lo) / step_deg))
+    steps = int(round(_SWEEP_MAX_DEG / _SWEEP_STEP_DEG))
     for i in range(steps + 1):
-        theta = lo + i * step_deg
+        theta = i * _SWEEP_STEP_DEG
         ws = rotate_crystal(ws, crystal_id, theta)
-        frame = camera_view(ws, camera_id, pump_power=pump_power)
-        spot = centroid(frame, noise_floor)
+        frame = camera_view(ws, camera_id)
+        spot = centroid(frame)
         total = spot.total_intensity if spot.detected else 0.0
         trace.record((theta,), -total)
         if spot.detected and total > best_total:
             best_theta, best_total = theta, total
     if best_theta is None:
         raise NoLasingError(
-            f"no emission on {camera_id} for crystal angles {lo} to {hi}")
+            f"no emission on {camera_id} for crystal angles 0.0 to {_SWEEP_MAX_DEG}")
     ws = rotate_crystal(ws, crystal_id, best_theta)
     trace.converged = True
     trace.wall_actions = ws.action_count - actions0
@@ -595,66 +587,51 @@ def crystal_sweep(ws: Workspace, crystal_id: str, camera_id: str,
     return ws, best_theta, trace
 
 
-def optimize_mode(ws: Workspace, knob_axes, camera_id: str,
+def optimize_mode(ws: Workspace, mirror_ids, camera_id: str,
                   rng: np.random.Generator, *, span_deg: float = 15.0,
                   max_iters: int = 30, init_samples: int = 5,
-                  length_scale_deg: float = 15.0, noise_scale: float = 1e-4,
-                  sigma_ref_px=None,
-                  objective_kind: str = "sqrtI_over_M2", success_value=None,
-                  pump_power=None, noise_floor=DEFAULT_NOISE_FLOOR):
-    """Joint knob search that maximizes emission quality on a camera.
+                  length_scale_deg: float = 15.0, sigma_ref_px=None,
+                  objective_kind: str = "sqrtI_over_M2", success_value=None):
+    """Joint search over both knobs of each mirror in ``mirror_ids`` that
+    maximizes emission quality on a camera.
 
-    ``knob_axes`` lists up to four ``(component_id, axis)`` pairs. The score
-    is total spot intensity (square-rooted under ``sqrtI_over_M2`` to soften
-    the peak, linear under ``I_over_M2``) divided by the beam-quality proxy
-    when a fundamental-mode reference width is supplied; a dark frame scores
-    zero. Stops early once the score reaches ``success_value``.
+    The score is :func:`~cavforge.vision.emission_score`: total spot
+    intensity (square-rooted under ``sqrtI_over_M2`` to soften the peak,
+    linear under ``I_over_M2``) over the beam-quality proxy, which counts
+    only when a fundamental-mode reference width is supplied; a dark frame
+    scores zero. The box spans ``span_deg`` either side of each starting
+    reading. Stops early once the score reaches ``success_value``.
     """
     if objective_kind not in ("sqrtI_over_M2", "I_over_M2"):
         raise WorkspaceError(f"unknown objective kind {objective_kind!r}")
-    use_sqrt = objective_kind == "sqrtI_over_M2"
-    axes = [(str(cid), str(axis)) for cid, axis in knob_axes]
-    if not 1 <= len(axes) <= 4:
-        raise WorkspaceError("optimize_mode takes one to four knob axes")
-    for cid, axis in axes:
-        if axis not in ("h", "v"):
-            raise WorkspaceError(f"knob axis must be 'h' or 'v', got {axis!r}")
-        if ws.component(cid).knobs is None:
-            raise WorkspaceError(f"component {cid!r} has no knobs")
-
-    def reading(w, cid, axis):
-        knobs = w.component(cid).knobs
-        return knobs.h_deg if axis == "h" else knobs.v_deg
-
+    root = objective_kind == "sqrtI_over_M2"
+    mirror_ids = tuple(mirror_ids)
+    start = knob_readings(ws, mirror_ids)
     actions0 = ws.action_count
     state = {"ws": ws}
 
     def apply(readings):
-        w = state["ws"]
-        for (cid, axis), value in zip(axes, readings):
-            w = turn_knob(w, cid, axis, float(value) - reading(w, cid, axis))
-        state["ws"] = w
+        values = [float(v) for v in readings]
+        state["ws"] = apply_knob_readings(
+            state["ws"], dict(zip(mirror_ids, zip(values[0::2], values[1::2]))))
 
     def objective(readings):
         apply(readings)
-        frame = camera_view(state["ws"], camera_id, pump_power=pump_power)
-        stats = beam_stats(frame, noise_floor, sigma_ref_px=sigma_ref_px)
-        if not stats.detected:
-            return 0.0
-        strength = math.sqrt(stats.total_intensity) if use_sqrt else stats.total_intensity
-        quality = stats.m_squared if stats.m_squared is not None else 1.0
-        return -strength / quality
+        frame = camera_view(state["ws"], camera_id)
+        stats = beam_stats(frame, sigma_ref_px=sigma_ref_px)
+        # 0.0 - score negates exactly, and keeps a dark frame at +0.0
+        return 0.0 - emission_score(stats, root=root)
 
-    bounds = [(reading(ws, cid, axis) - span_deg, reading(ws, cid, axis) + span_deg)
-              for cid, axis in axes]
+    bounds = [(r - span_deg, r + span_deg)
+              for cid in mirror_ids for r in start[cid]]
     success_cost = -float(success_value) if success_value is not None else None
     best, _, trace = bayesian_optimize(
         objective, bounds, rng,
         max_iters=max_iters, init_samples=init_samples,
-        length_scale=length_scale_deg, noise_scale=noise_scale,
-        success_cost=success_cost)
+        length_scale=length_scale_deg, success_cost=success_cost)
     apply(best)
     trace.wall_actions = state["ws"].action_count - actions0
-    trace.meta.update(camera=camera_id, knob_axes=[list(a) for a in axes],
+    trace.meta.update(camera=camera_id,
+                      knob_axes=[[cid, axis] for cid in mirror_ids for axis in ("h", "v")],
                       objective=f"neg_{objective_kind}")
     return state["ws"], trace

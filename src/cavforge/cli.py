@@ -26,7 +26,7 @@ import numpy as np
 from . import trials
 from .errors import CavforgeError, ConstructionError, LayoutError
 from .frameio import write_csv, write_pgm
-from .layout import apply_overrides, default_layout, validate_layout
+from .layout import apply_overrides, default_layout, read_layout, validate_layout
 from .physics import camera_view
 from .pipeline import (
     PipelineState,
@@ -40,18 +40,8 @@ from .simcore import ComponentKind, inject_displacement, randomize_knobs
 
 
 def _load_layout(args):
-    if args.layout is None:
-        data = default_layout()
-    else:
-        try:
-            with open(args.layout, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise LayoutError(f"cannot read layout file {args.layout}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise LayoutError(f"layout file {args.layout} is not valid JSON: {exc}") from exc
-    data = apply_overrides(data, args.overrides)
-    return validate_layout(data)
+    data = default_layout() if args.layout is None else read_layout(args.layout)
+    return validate_layout(apply_overrides(data, args.overrides))
 
 
 def _ensure_out(args) -> Path:

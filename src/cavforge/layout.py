@@ -254,15 +254,19 @@ def _validate_params(kind: ComponentKind, params: dict, where: str):
                             0.0, allow_equal=False)
 
 
-def load_layout(path) -> Layout:
+def read_layout(path) -> dict:
+    """The raw, unvalidated layout dict stored in a JSON file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise LayoutError(f"cannot read layout file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise LayoutError(f"layout file {path} is not valid JSON: {exc}") from exc
-    return validate_layout(data)
+
+
+def load_layout(path) -> Layout:
+    return validate_layout(read_layout(path))
 
 
 def apply_overrides(data: dict, assignments) -> dict:

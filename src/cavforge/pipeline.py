@@ -30,6 +30,7 @@ from .errors import (
     BeamLostError,
     CavforgeError,
     ConstructionError,
+    LayoutError,
     MissingComponentError,
     NoLasingError,
     NoSnapshotError,
@@ -42,14 +43,15 @@ from .simcore import (
     ComponentKind,
     Pose,
     Workspace,
+    apply_knob_readings,
     detect_displacement,
+    knob_readings,
     move_component,
     park_component,
     place_component,
-    set_knob_readings,
     take_snapshot,
 )
-from .vision import beam_stats, centroid
+from .vision import beam_stats, centroid, emission_score
 
 # Stage tuning. Success radii are chosen so the residual mirror tilts leave
 # the misalignment metric comfortably inside the fundamental-mode band; the
@@ -65,9 +67,11 @@ _MODE_MAX_ITERS = 24
 _MODE_INIT_SAMPLES = 8
 _MODE_LENGTH_SCALE_DEG = 6.0
 _DRIFT_SUCCESS_FRACTION = 0.9
+_DRIFT_SPAN_DEG = 65.0
 _DRIFT_INIT_SAMPLES = 12
 _DRIFT_LENGTH_SCALE_DEG = 20.0
 _SIGNAL_FRACTION = 0.25
+_DISPLACEMENT_MAX_ATTEMPTS = 10
 
 # Sub-stream tags so the controller's draws never alias the workspace noise.
 _CONTROLLER_STREAM = 101
@@ -143,6 +147,9 @@ class PipelineState:
 
     @classmethod
     def from_dict(cls, d) -> "PipelineState":
+        if d.get("schema_version") != SCHEMA_VERSION:
+            raise LayoutError(f"state schema_version must be {SCHEMA_VERSION}, "
+                              f"got {d.get('schema_version')!r}")
         layout = validate_layout(d["layout"])
         return cls(
             ws=Workspace.from_dict(d["workspace"], physics=layout.physics),
@@ -269,11 +276,10 @@ def _step_place_oc(state: PipelineState, step, rng, ctx) -> None:
     spot = centroid(camera_view(state.ws, cam_main))
     if not spot.detected:
         raise BeamLostError(f"no reference spot on {cam_main}")
-    ctx["cam_main_target"] = (spot.x_px, spot.y_px)
     state.ws = move_component(state.ws, oc, _station(layout, oc, ctx["fit"]))
     state.log_event(step, f"station {oc}")
     state.ws, trace = spatial_optimize(
-        state.ws, oc, cam_main, target_px=ctx["cam_main_target"],
+        state.ws, oc, cam_main, target_px=(spot.x_px, spot.y_px),
         cfg=SpatialOptConfig(tolerance_mm=layout.physics.pump_waist_mm))
     state.log_event(step, f"spatial optimize {oc}", trace.summary())
     if not trace.converged:
@@ -416,20 +422,14 @@ def _step_place_crystal(state: PipelineState, step, rng, ctx) -> None:
     sigma_ref = float(max(stats.sigma_px)) if stats.detected else None
 
     def score():
-        s = beam_stats(camera_view(state.ws, cam_main), sigma_ref_px=sigma_ref)
-        if not s.detected:
-            return 0.0
-        quality = s.m_squared if s.m_squared is not None else 1.0
-        return math.sqrt(s.total_intensity) / quality
+        return emission_score(
+            beam_stats(camera_view(state.ws, cam_main), sigma_ref_px=sigma_ref),
+            root=True)
 
-    def readings(mirror_id):
-        knobs = state.ws.component(mirror_id).knobs
-        return knobs.h_deg, knobs.v_deg
-
-    incoming = {cid: readings(cid) for cid in (ic, oc)}
+    incoming = knob_readings(state.ws, (ic, oc))
     incoming_score = score()
     state.ws, trace = optimize_mode(
-        state.ws, [(ic, "h"), (ic, "v"), (oc, "h"), (oc, "v")], cam_main, rng,
+        state.ws, (ic, oc), cam_main, rng,
         span_deg=_MODE_SPAN_DEG, max_iters=_MODE_MAX_ITERS,
         init_samples=_MODE_INIT_SAMPLES,
         length_scale_deg=_MODE_LENGTH_SCALE_DEG, sigma_ref_px=sigma_ref)
@@ -437,8 +437,7 @@ def _step_place_crystal(state: PipelineState, step, rng, ctx) -> None:
     if score() < incoming_score:
         # The optimizer applies the best point it sampled, which is not
         # guaranteed to beat the pre-search alignment; keep the better one.
-        for cid, (h, v) in incoming.items():
-            state.ws = set_knob_readings(state.ws, cid, h, v)
+        state.ws = apply_knob_readings(state.ws, incoming)
         reverted = True
     state.log_event(step, "optimize mode",
                     {**trace.summary(), "kept_incoming": reverted})
@@ -612,10 +611,7 @@ def _objective_ratio(state: PipelineState) -> float:
     roles = resolve_roles(state.layout)
     frame = camera_view(state.ws, _need(roles.cam_main, "main-axis camera"))
     stats = beam_stats(frame, sigma_ref_px=state.baseline["sigma_px"])
-    if not stats.detected:
-        return 0.0
-    quality = stats.m_squared if stats.m_squared is not None else 1.0
-    return float(stats.total_intensity / quality / state.baseline["objective"])
+    return float(emission_score(stats, root=False) / state.baseline["objective"])
 
 
 def surveillance_tick(state: PipelineState) -> dict:
@@ -626,7 +622,7 @@ def surveillance_tick(state: PipelineState) -> dict:
     shows up as a lost or collapsed signal instead.
     """
     _require_complete(state)
-    displaced = detect_displacement(state.ws, tolerance_mm=1.0)
+    displaced = detect_displacement(state.ws)
     if displaced:
         return {
             "status": "displacement",
@@ -638,20 +634,20 @@ def surveillance_tick(state: PipelineState) -> dict:
     return {"status": "ok"}
 
 
-def recover_displacement(state: PipelineState, max_attempts: int = 10) -> RecoveryReport:
+def recover_displacement(state: PipelineState) -> RecoveryReport:
     """Move displaced components back to their snapshot poses.
 
     One restore pass runs unconditionally; while the laser signal stays
     missing, the re-grip loop repeats the same placement (fresh actuation
-    noise every grip) up to ``max_attempts`` times. ``attempts`` counts only
-    those extra rounds, so a clean first pass reports zero attempts and one
-    placement pass.
+    noise every grip) up to ``_DISPLACEMENT_MAX_ATTEMPTS`` times.
+    ``attempts`` counts only those extra rounds, so a clean first pass
+    reports zero attempts and one placement pass.
     """
     _require_complete(state)
     if state.ws.snapshot is None:
         raise NoSnapshotError("no snapshot to recover toward")
     actions0 = state.ws.action_count
-    displaced = [cid for cid, _ in detect_displacement(state.ws, tolerance_mm=1.0)]
+    displaced = [cid for cid, _ in detect_displacement(state.ws)]
 
     def restore():
         ws = state.ws
@@ -661,7 +657,7 @@ def recover_displacement(state: PipelineState, max_attempts: int = 10) -> Recove
 
     restore()
     attempts = 0
-    while not _signal_ok(state) and attempts < max_attempts:
+    while not _signal_ok(state) and attempts < _DISPLACEMENT_MAX_ATTEMPTS:
         attempts += 1
         restore()
     success = _signal_ok(state)
@@ -676,17 +672,20 @@ def recover_displacement(state: PipelineState, max_attempts: int = 10) -> Recove
     )
 
 
-def recover_drift(state: PipelineState, rng=None, max_iters: int = 60,
-                  span_deg: float = 65.0) -> RecoveryReport:
+def recover_drift(state: PipelineState, rng=None,
+                  max_iters: int = 60) -> RecoveryReport:
     """Re-search the four cavity knobs after the mounts have crept.
 
-    Runs the joint knob optimizer on intensity over beam quality in a
-    zoom-in schedule: each round re-centers a smaller box on the best
+    Runs the joint knob optimizer over both knobs of the input and output
+    mirrors, on intensity over beam quality, in a zoom-in schedule: the
+    first round searches ``_DRIFT_SPAN_DEG`` either side of the current
+    readings, and each later round re-centers a smaller box on the best
     readings so far, because the quality term jumps at the mode boundaries
     and a single wide-box search tends to park on the first lasing shelf it
-    finds. Rounds share one evaluation budget and any round may stop the
-    whole search early by clearing 90% of the stored baseline. A round that
-    ends worse than its predecessor is rolled back before the next one.
+    finds. Rounds share the ``max_iters`` evaluation budget and any round
+    may stop the whole search early by clearing 90% of the stored baseline.
+    A round that ends worse than its predecessor is rolled back, to the
+    readings saved after the best round, before the next one.
     """
     _require_complete(state)
     roles = resolve_roles(state.layout)
@@ -698,38 +697,26 @@ def recover_drift(state: PipelineState, rng=None, max_iters: int = 60,
             [state.seed, _DRIFT_STREAM, state.ws.action_count]))
     actions0 = state.ws.action_count
     target = _DRIFT_SUCCESS_FRACTION * state.baseline["objective"]
-    axes = [(ic, "h"), (ic, "v"), (oc, "h"), (oc, "v")]
-
-    def knob_state():
-        pairs = {}
-        for cid, _ in axes:
-            knobs = state.ws.component(cid).knobs
-            pairs[cid] = (knobs.h_deg, knobs.v_deg)
-        return pairs
-
-    def restore(pairs):
-        for cid, (h, v) in pairs.items():
-            state.ws = set_knob_readings(state.ws, cid, h, v)
-
+    mirrors = (ic, oc)
     rounds = (
-        (span_deg, max(_DRIFT_INIT_SAMPLES, round(0.30 * max_iters)),
+        (_DRIFT_SPAN_DEG, max(_DRIFT_INIT_SAMPLES, round(0.30 * max_iters)),
          _DRIFT_INIT_SAMPLES, _DRIFT_LENGTH_SCALE_DEG),
-        (0.42 * span_deg, max(8, round(0.23 * max_iters)), 8,
+        (0.42 * _DRIFT_SPAN_DEG, max(8, round(0.23 * max_iters)), 8,
          0.45 * _DRIFT_LENGTH_SCALE_DEG),
-        (0.18 * span_deg, max(6, round(0.20 * max_iters)), 6,
+        (0.18 * _DRIFT_SPAN_DEG, max(6, round(0.20 * max_iters)), 6,
          0.20 * _DRIFT_LENGTH_SCALE_DEG),
-        (0.09 * span_deg, max_iters, 6, 0.10 * _DRIFT_LENGTH_SCALE_DEG),
+        (0.09 * _DRIFT_SPAN_DEG, max_iters, 6, 0.10 * _DRIFT_LENGTH_SCALE_DEG),
     )
     used = 0
     best_cost = math.inf
-    best_pairs = knob_state()
+    best_pairs = knob_readings(state.ws, mirrors)
     summaries = []
     for i, (span, iters, init, scale) in enumerate(rounds):
         budget = max_iters - used if i == len(rounds) - 1 else min(iters, max_iters - used)
         if budget < 1:
             break
         state.ws, trace = optimize_mode(
-            state.ws, axes, cam_main, rng,
+            state.ws, mirrors, cam_main, rng,
             span_deg=span, max_iters=budget,
             init_samples=min(init, budget), length_scale_deg=scale,
             sigma_ref_px=state.baseline["sigma_px"],
@@ -738,9 +725,9 @@ def recover_drift(state: PipelineState, rng=None, max_iters: int = 60,
         summaries.append(trace.summary())
         if trace.best_objective < best_cost:
             best_cost = trace.best_objective
-            best_pairs = knob_state()
+            best_pairs = knob_readings(state.ws, mirrors)
         else:
-            restore(best_pairs)
+            state.ws = apply_knob_readings(state.ws, best_pairs)
         if -best_cost >= target and _signal_ok(state):
             break
     success = bool(-best_cost >= target and _signal_ok(state))

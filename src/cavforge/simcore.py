@@ -28,6 +28,8 @@ from .errors import (
 
 DEFAULT_TABLE_BOUNDS = ((-50.0, 800.0), (-250.0, 250.0))
 PARK_Y = 200.0
+# A component farther than this from its snapshot pose counts as displaced.
+_DISPLACEMENT_TOLERANCE_MM = 1.0
 
 
 def normalize_yaw(yaw_deg: float) -> float:
@@ -424,6 +426,25 @@ def set_knob_readings(ws: Workspace, component_id: str, h_deg: float, v_deg: flo
     return turn_knob(ws, component_id, "v", v_deg - ws.component(component_id).knobs.v_deg)
 
 
+def knob_readings(ws: Workspace, component_ids) -> dict:
+    """Dial readings ``{id: (h_deg, v_deg)}`` of the listed mirrors, in order."""
+    readings = {}
+    for cid in component_ids:
+        knobs = ws.component(cid).knobs
+        if knobs is None:
+            raise NoKnobsError(f"component {cid!r} has no knobs")
+        readings[cid] = (knobs.h_deg, knobs.v_deg)
+    return readings
+
+
+def apply_knob_readings(ws: Workspace, readings) -> Workspace:
+    """Turn each mirror's knobs to its readings, as :func:`knob_readings`
+    returns them, one mirror after another."""
+    for cid, (h, v) in readings.items():
+        ws = set_knob_readings(ws, cid, h, v)
+    return ws
+
+
 def rotate_crystal(ws: Workspace, component_id: str, theta_deg: float) -> Workspace:
     """Set a crystal's mount rotation to an absolute angle."""
     comp = ws.component(component_id)
@@ -518,11 +539,12 @@ def take_snapshot(ws: Workspace) -> Workspace:
                                action_count=ws.action_count + 1)
 
 
-def detect_displacement(ws: Workspace, tolerance_mm: float = 1.0):
+def detect_displacement(ws: Workspace):
     """Compare current poses against the snapshot.
 
     Returns a list of ``(component_id, distance_mm)`` for components whose
-    x,y Euclidean deviation exceeds the tolerance, in beam-path order.
+    x,y Euclidean deviation exceeds ``_DISPLACEMENT_TOLERANCE_MM``, in
+    beam-path order.
     """
     if ws.snapshot is None:
         raise NoSnapshotError("no snapshot taken")
@@ -532,6 +554,6 @@ def detect_displacement(ws: Workspace, tolerance_mm: float = 1.0):
         if ref is None:
             continue
         d = float(np.hypot(c.pose.x - ref.x, c.pose.y - ref.y))
-        if d > tolerance_mm:
+        if d > _DISPLACEMENT_TOLERANCE_MM:
             out.append((c.id, d))
     return out

@@ -172,10 +172,10 @@ def _trial_state(state, child_seed) -> object:
                                log=list(state.log))
 
 
-def displacement_trials(layout: Layout, master_seed: int, n_trials: int = 10,
-                        build_seed=None) -> list:
-    """Lens-displacement battery: one build, n independent cm-scale shoves."""
-    state = run_construction(layout, build_seed)
+def displacement_trials(layout: Layout, master_seed: int, n_trials: int = 10) -> list:
+    """Lens-displacement battery: one build at the layout seed, n independent
+    cm-scale shoves."""
+    state = run_construction(layout)
     roles = resolve_roles(layout)
     rows = []
     for i in range(n_trials):
@@ -195,9 +195,10 @@ def displacement_trials(layout: Layout, master_seed: int, n_trials: int = 10,
 
 
 def drift_trials(layout: Layout, master_seed: int, n_trials: int = 10,
-                 build_seed=None, max_iters: int = 60) -> list:
-    """Knob-creep battery: one build, n independent four-knob drifts."""
-    state = run_construction(layout, build_seed)
+                 max_iters: int = 60) -> list:
+    """Knob-creep battery: one build at the layout seed, n independent
+    four-knob drifts."""
+    state = run_construction(layout)
     roles = resolve_roles(layout)
     rows = []
     for i in range(n_trials):

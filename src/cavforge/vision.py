@@ -1,5 +1,6 @@
 """Frame processing: dim-spot enhancement, reference subtraction, centroids,
-and beam statistics including the beam-quality proxy."""
+beam statistics including the beam-quality proxy, and the emission score
+built on them."""
 
 from __future__ import annotations
 
@@ -91,6 +92,17 @@ def beam_stats(frame: CameraFrame, noise_floor: float = DEFAULT_NOISE_FLOOR,
             raise WorkspaceError("sigma_ref_px must be positive")
         m_squared = max(1.0, (max(sigma) / sigma_ref_px) ** 2)
     return BeamStats(True, saturated, (cx, cy), total, sigma, m_squared)
+
+
+def emission_score(stats: BeamStats, *, root: bool) -> float:
+    """Emission quality of a spot: its total intensity (square-rooted when
+    ``root``) over the beam-quality proxy, taken as 1 without a reference
+    width. An undetected spot scores zero."""
+    if not stats.detected:
+        return 0.0
+    strength = math.sqrt(stats.total_intensity) if root else stats.total_intensity
+    quality = stats.m_squared if stats.m_squared is not None else 1.0
+    return strength / quality
 
 
 def sensor_center_px(frame: CameraFrame) -> tuple:

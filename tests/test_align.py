@@ -6,15 +6,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from _benches import bench, camera, make_cavity, mirror, pump
-from cavforge.align import (AngularOptConfig, SpatialOptConfig,
-                            align_resonator, crystal_sweep, fit_beam_path,
-                            measure_beam_path, newton_correction,
-                            newton_solve, spatial_optimize)
+from cavforge.align import (AngularOptConfig, align_resonator, crystal_sweep,
+                            fit_beam_path, measure_beam_path,
+                            newton_correction, newton_solve,
+                            optimize_mode, spatial_optimize)
 from cavforge.errors import (BeamLostError, DegenerateResponseError,
                              NoLasingError, WorkspaceError)
 from cavforge.physics import CameraFrame, camera_view
-from cavforge.simcore import (Component, ComponentKind, Pose,
-                              inject_displacement)
+from cavforge.simcore import Component, ComponentKind, Pose, knob_readings
 
 
 def test_newton_correction_frozen_value():
@@ -61,14 +60,13 @@ def test_newton_solve_gives_up_on_a_dead_signal():
 
 
 def test_spatial_optimize_centers_both_axes_without_noise():
+    # the loop walks table y (sensor x); the pump already sits at z = 0
     ws = bench([pump(y=1.7), camera("cam", 300.0)])
-    ws = inject_displacement(ws, "pump", dz=-0.8)
-    cfg = SpatialOptConfig(axes=("y", "z"))
-    out, trace = spatial_optimize(ws, "pump", "cam", cfg=cfg)
+    out, trace = spatial_optimize(ws, "pump", "cam")
     pose = out.component("pump").pose
     assert trace.converged
     assert trace.meta["objective_units"] == "mm"
-    assert abs(pose.y) < 0.01 and abs(pose.z) < 0.01
+    assert abs(pose.y) < 0.01 and pose.z == 0.0
     assert trace.meta["final_error_mm"] < 0.01
     assert trace.wall_actions > 0  # probes and corrections hit the motors
 
@@ -95,7 +93,7 @@ def test_spatial_optimize_raises_when_the_spot_is_gone():
 
 def test_beam_path_survey_recovers_the_pump_slope():
     ws = bench([pump(yaw=0.02), camera("cam", 500.0)])
-    out, fit = measure_beam_path(ws, "cam", x_positions=(260.0, 340.0, 420.0, 500.0))
+    out, fit = measure_beam_path(ws, "cam")  # stations 260, 340, 420, 500
     assert fit.slope == pytest.approx(math.tan(math.radians(0.02)), rel=1e-3)
     assert fit.rms_residual < 1e-3
     assert out.component("cam").pose.x == 500.0  # back at its home station
@@ -161,14 +159,19 @@ def test_crystal_sweep_parks_near_the_phase_matching_angle():
 
 
 def test_crystal_sweep_raises_when_everything_stays_dark():
-    ws = make_cavity(theta_err_deg=-1.3)
+    ws = make_cavity(theta_err_deg=-1.3, pump_power=0.0)
     with pytest.raises(NoLasingError):
-        crystal_sweep(ws, "crystal", "cam1", pump_power=0.0)
+        crystal_sweep(ws, "crystal", "cam1")
 
 
-def test_crystal_sweep_validates_the_grid():
-    ws = make_cavity()
-    with pytest.raises(WorkspaceError):
-        crystal_sweep(ws, "crystal", "cam1", step_deg=0.0)
-    with pytest.raises(WorkspaceError):
-        crystal_sweep(ws, "crystal", "cam1", theta_range=(2.0, 1.0))
+def test_optimize_mode_scores_a_dark_frame_as_positive_zero():
+    ws = make_cavity(pump_power=0.0)
+    out, trace = optimize_mode(ws, ("ic", "oc"), "cam1",
+                               np.random.default_rng(0), max_iters=3,
+                               init_samples=3)
+    # the trace is written to trace.jsonl, where -0.0 would read differently
+    assert [math.copysign(1.0, it.objective) for it in trace.iterations] == [1.0] * 3
+    assert math.copysign(1.0, trace.best_objective) == 1.0
+    assert trace.meta["knob_axes"] == [["ic", "h"], ["ic", "v"], ["oc", "h"], ["oc", "v"]]
+    readings = knob_readings(out, ("ic", "oc"))
+    assert readings["ic"] + readings["oc"] == trace.best_params

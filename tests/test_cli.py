@@ -166,6 +166,17 @@ def test_render_exports_frames_and_raw_csv(built_dir):
         assert (built_dir / name).exists()
 
 
+def test_state_with_a_wrong_schema_version_exits_2(built_dir, tmp_path, capsys):
+    state = json.loads((built_dir / "state.json").read_text())
+    state["schema_version"] = 99
+    (tmp_path / "state.json").write_text(json.dumps(state))
+    code, _ = _run(["render", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "schema_version" in err
+    assert not (tmp_path / "cam1_step12.pgm").exists()
+
+
 def test_module_entry_point_runs_from_a_checkout():
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -9,8 +9,9 @@ from cavforge.errors import (DuplicateComponentError, NoKnobsError,
                              NoSnapshotError, OutOfBoundsError,
                              UnknownComponentError, WorkspaceError)
 from cavforge.simcore import (PARK_Y, Component, ComponentKind, KnobPair, Pose,
-                              Workspace, detect_displacement,
-                              inject_displacement, move_component,
+                              Workspace, apply_knob_readings,
+                              detect_displacement, inject_displacement,
+                              knob_readings, move_component,
                               new_workspace, normalize_yaw, park_component,
                               place_component, randomize_knobs, reseed,
                               rotate_crystal, set_knob_bias,
@@ -157,6 +158,21 @@ def test_set_knob_readings_absolute():
     assert ws.action_count == n + 2
 
 
+def test_knob_readings_round_trip_through_apply():
+    ws = place_component(new_workspace(0), _mirror("a"), Pose(100.0, 0.0))
+    ws = place_component(ws, _mirror("b"), Pose(200.0, 0.0))
+    ws = set_knob_readings(ws, "a", 12.5, -3.0)
+    saved = knob_readings(ws, ["a", "b"])
+    assert saved == {"a": (12.5, -3.0), "b": (0.0, 0.0)}
+    moved = set_knob_readings(set_knob_readings(ws, "a", 40.0, 7.0), "b", -9.0, 2.0)
+    n = moved.action_count
+    back = apply_knob_readings(moved, saved)
+    assert knob_readings(back, ["a", "b"]) == saved
+    assert back.action_count == n + 4  # two knob turns per mirror
+    with pytest.raises(NoKnobsError):
+        knob_readings(place_component(ws, _ndf(), Pose(50.0, 0.0)), ["f"])
+
+
 def test_tilt_combines_reading_and_hidden_bias():
     pair = KnobPair(h_deg=20.0, v_deg=0.0, tilt_per_turn_deg=0.5,
                     bias_h_deg=16.0, bias_v_deg=-36.0)
@@ -231,7 +247,7 @@ def test_snapshot_detects_only_suprathreshold_displacement():
     ws = take_snapshot(ws)
     assert detect_displacement(ws) == []
     nudged = inject_displacement(ws, "f", dy=0.4)
-    assert detect_displacement(nudged, tolerance_mm=1.0) == []
+    assert detect_displacement(nudged) == []
     shoved = inject_displacement(ws, "f", dx=3.0, dy=4.0)
     assert detect_displacement(shoved) == [("f", pytest.approx(5.0))]
 

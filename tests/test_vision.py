@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from cavforge import _kernels
 from cavforge.errors import WorkspaceError
 from cavforge.physics import CameraFrame
-from cavforge.vision import (DETECTION_FACTOR, beam_stats, centroid,
-                             log_transform, mm_to_pixels, pixels_to_mm,
-                             sensor_center_px, subtract_reference)
+from cavforge.vision import (DETECTION_FACTOR, BeamStats, beam_stats,
+                             centroid, emission_score, log_transform,
+                             mm_to_pixels, pixels_to_mm, sensor_center_px,
+                             subtract_reference)
 
 
 def _frame(values):
@@ -112,3 +113,17 @@ def test_pixel_mm_round_trip_is_exact():
         assert back[0] == pytest.approx(point[0], abs=1e-12)
         assert back[1] == pytest.approx(point[1], abs=1e-12)
     assert pixels_to_mm(frame, (319.5, 239.5)) == (0.0, 0.0)
+
+
+def test_emission_score_forms_and_missing_reference():
+    lit = BeamStats(True, False, (1.0, 2.0), 16.0, (3.0, 3.0), 2.0)
+    assert emission_score(lit, root=True) == 2.0  # sqrt(16) / 2
+    assert emission_score(lit, root=False) == 8.0  # 16 / 2
+    # without a reference width the quality proxy counts as 1
+    unreferenced = BeamStats(True, False, (1.0, 2.0), 16.0, (3.0, 3.0), None)
+    assert emission_score(unreferenced, root=True) == 4.0
+    assert emission_score(unreferenced, root=False) == 16.0
+    dark = BeamStats(False, False, None, 0.5, None, None)
+    assert emission_score(dark, root=True) == 0.0
+    assert emission_score(dark, root=False) == 0.0
+
