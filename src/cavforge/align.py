@@ -162,7 +162,7 @@ def spatial_optimize(ws: Workspace, component_id: str, camera_id: str,
     Table y maps to the sensor x axis; one Newton loop walks the spot's
     sensor-x offset to zero. The default tolerance is the spot's 1/e^2
     radius as first measured. Returns the adjusted workspace and a trace of
-    every measurement.
+    every measurement; each trace entry is one rendered frame.
     """
     cfg = cfg or SpatialOptConfig()
     if _PROBE_MM <= ws.placement_noise_sigma:
@@ -188,12 +188,12 @@ def spatial_optimize(ws: Workspace, component_id: str, camera_id: str,
     if tolerance is None:
         tolerance = 2.0 * max(stats.sigma_px) * pitch
 
-    def error(stats):
-        return (stats.centroid_px[0] - target[0]) * pitch
+    # The frame that set the target is also the loop's first measurement.
+    pending = [stats]
 
     def measure():
-        _, stats = snap()
-        err = error(stats)
+        stats = pending.pop() if pending else snap()[1]
+        err = (stats.centroid_px[0] - target[0]) * pitch
         trace.record((state["ws"].component(component_id).pose.y,), abs(err))
         return err
 
@@ -204,12 +204,11 @@ def spatial_optimize(ws: Workspace, component_id: str, camera_id: str,
         return state["ws"].component(component_id).pose.y - pose.y
 
     result = newton_solve(measure, move, _PROBE_MM, tolerance, cfg.max_iters)
-    _, stats = snap()
-    final = abs(error(stats))
-    trace.converged = result.converged and final <= tolerance
+    trace.converged = result.converged
     trace.wall_actions = state["ws"].action_count - actions0
     trace.meta.update(component=component_id, camera=camera_id,
-                      tolerance_mm=tolerance, final_error_mm=final,
+                      tolerance_mm=tolerance,
+                      final_error_mm=abs(result.final_error),
                       objective_units="mm")
     return state["ws"], trace
 

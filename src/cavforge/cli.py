@@ -10,7 +10,7 @@ invocations write byte-identical files.
 
 Exit codes: 0 success, 1 domain failure (failed step, exhausted recovery,
 unknown component), 2 usage or parse error (bad flags, malformed JSON,
-invalid layout).
+invalid layout or saved state).
 """
 
 from __future__ import annotations

@@ -149,20 +149,8 @@ def validate_layout(data: dict) -> Layout:
         if cid in seen:
             raise LayoutError(f"duplicate component id {cid!r}")
         seen.add(cid)
-        try:
-            kind = ComponentKind(rec.get("kind"))
-        except ValueError:
-            raise LayoutError(f"{where} has unknown kind {rec.get('kind')!r}") from None
         params = rec.get("params", {})
-        if not isinstance(params, dict):
-            raise LayoutError(f"{where} params must be an object")
-        declared = COMPONENT_PARAMS[kind]
-        unknown = set(params) - set(declared)
-        if unknown:
-            raise LayoutError(f"{where} ({kind.value}) has unknown params: {sorted(unknown)}")
-        for key, value in params.items():
-            _require_type(value, declared[key][0], f"{where}.{key}")
-        _validate_params(kind, params, where)
+        kind = validate_component(rec.get("kind"), params, where)
         records.append(ComponentRecord(
             id=cid,
             kind=kind,
@@ -186,6 +174,27 @@ def validate_layout(data: dict) -> Layout:
         records=tuple(records),
         raw=copy.deepcopy(data),
     )
+
+
+def validate_component(kind, params, where) -> ComponentKind:
+    """Check one component's kind and params; return the kind.
+
+    Layout records and the components of a saved workspace both pass here.
+    """
+    try:
+        kind = ComponentKind(kind)
+    except ValueError:
+        raise LayoutError(f"{where} has unknown kind {kind!r}") from None
+    if not isinstance(params, dict):
+        raise LayoutError(f"{where} params must be an object")
+    declared = COMPONENT_PARAMS[kind]
+    unknown = set(params) - set(declared)
+    if unknown:
+        raise LayoutError(f"{where} ({kind.value}) has unknown params: {sorted(unknown)}")
+    for key, value in params.items():
+        _require_type(value, declared[key][0], f"{where}.{key}")
+    _validate_params(kind, params, where)
+    return kind
 
 
 def _require_type(value, expected, where):

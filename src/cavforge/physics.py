@@ -30,6 +30,9 @@ from .errors import MissingComponentError, TraceError, WorkspaceError
 from .simcore import Component, ComponentKind, Workspace
 
 _EPS_X = 1e-9
+# The components that make up the resonator; the lasing model needs all four.
+_CAVITY_KINDS = (ComponentKind.MIRROR_IC, ComponentKind.MIRROR_OC,
+                ComponentKind.LENS, ComponentKind.CRYSTAL)
 
 
 @dataclass(frozen=True)
@@ -168,13 +171,6 @@ def _mirror_tilts_rad(comp: Component):
         v = comp.knobs.tilt_v_deg
     h += comp.pose.yaw
     return math.radians(h), math.radians(v)
-
-
-def _camera_geometry(comp: Component):
-    width = int(comp.param("width_px"))
-    height = int(comp.param("height_px"))
-    pitch = float(comp.param("pixel_pitch_mm"))
-    return width, height, pitch
 
 
 def _aperture(comp: Component, cfg: PhysicsConfig):
@@ -375,32 +371,6 @@ def primary_hit(trace: TraceResult, camera_id: str):
     return None
 
 
-def secondary_beam(ws: Workspace, camera_id: str):
-    """Camera hit of the lowest-order mirror-reflected beam.
-
-    At the output camera this is the single in-cavity round trip leaving
-    through the out-coupler (both mirror tilt errors, each doubled on
-    reflection); at the splitter side camera it is the out-coupler retro
-    pick-off. Returns None when blocked or off the sensor.
-    """
-    if not ws.find_kind(ComponentKind.MIRROR_IC) or not ws.find_kind(ComponentKind.MIRROR_OC):
-        raise MissingComponentError("secondary beam needs both cavity mirrors placed")
-    cam = ws.component(camera_id)
-    width, height, pitch = _camera_geometry(cam)
-    half_u = width * pitch / 2.0
-    half_v = height * pitch / 2.0
-    tr = trace_beam(ws)
-    reflected = [h for h in tr.camera_hits(camera_id)
-                 if h.wavelength == "pump" and h.n_bounces >= 1]
-    if not reflected:
-        return None
-    reflected.sort(key=lambda h: (h.n_bounces, -h.power))
-    hit = reflected[0]
-    if abs(hit.u_mm) > half_u or abs(hit.v_mm) > half_v:
-        return None
-    return hit
-
-
 def render_frame(hits, camera: Component) -> CameraFrame:
     """Rasterize camera hits into a normalized frame.
 
@@ -410,7 +380,9 @@ def render_frame(hits, camera: Component) -> CameraFrame:
     """
     if isinstance(hits, CameraHit):
         hits = [hits]
-    width, height, pitch = _camera_geometry(camera)
+    width = int(camera.param("width_px"))
+    height = int(camera.param("height_px"))
+    pitch = float(camera.param("pixel_pitch_mm"))
     img = np.zeros((height, width), dtype=np.float64)
     for hit in hits:
         gain = float(camera.param(f"gain_{hit.wavelength}"))
@@ -434,9 +406,7 @@ def cavity_response(ws: Workspace, pump_power=None, trace=None) -> CavityState:
     falls into.
     """
     cfg: PhysicsConfig = ws.physics or PhysicsConfig()
-    missing = [k.value for k in (ComponentKind.MIRROR_IC, ComponentKind.MIRROR_OC,
-                                 ComponentKind.LENS, ComponentKind.CRYSTAL)
-               if not ws.find_kind(k)]
+    missing = [k.value for k in _CAVITY_KINDS if not ws.find_kind(k)]
     if missing:
         raise MissingComponentError(f"cavity incomplete, missing: {', '.join(missing)}")
     ic = ws.find_kind(ComponentKind.MIRROR_IC)[0]
@@ -540,7 +510,7 @@ def _laser_hits(ws: Workspace, cav: CavityState, trace: TraceResult):
     return out
 
 
-def camera_view(ws: Workspace, camera_id: str, pump_power=None) -> CameraFrame:
+def camera_view(ws: Workspace, camera_id: str) -> CameraFrame:
     """Render what a camera currently sees: traced pump beams plus the
     laser-wavelength emission of the assembled cavity."""
     cam = ws.component(camera_id)
@@ -548,10 +518,8 @@ def camera_view(ws: Workspace, camera_id: str, pump_power=None) -> CameraFrame:
         raise WorkspaceError(f"{camera_id!r} is not a camera")
     tr = trace_beam(ws)
     hits = list(tr.camera_hits(camera_id))
-    kinds_needed = (ComponentKind.MIRROR_IC, ComponentKind.MIRROR_OC,
-                    ComponentKind.LENS, ComponentKind.CRYSTAL)
-    if all(ws.find_kind(k) for k in kinds_needed):
-        cav = cavity_response(ws, pump_power=pump_power, trace=tr)
+    if all(ws.find_kind(k) for k in _CAVITY_KINDS):
+        cav = cavity_response(ws, trace=tr)
         hits.extend(h for h in _laser_hits(ws, cav, tr)
                     if h.camera_id == camera_id)
     return render_frame(hits, cam)

@@ -37,7 +37,13 @@ from .errors import (
     SaturationError,
     WorkspaceError,
 )
-from .layout import SCHEMA_VERSION, Layout, build_workspace, validate_layout
+from .layout import (
+    SCHEMA_VERSION,
+    Layout,
+    build_workspace,
+    validate_component,
+    validate_layout,
+)
 from .physics import camera_view, cavity_response
 from .simcore import (
     ComponentKind,
@@ -151,14 +157,21 @@ class PipelineState:
             raise LayoutError(f"state schema_version must be {SCHEMA_VERSION}, "
                               f"got {d.get('schema_version')!r}")
         layout = validate_layout(d["layout"])
-        return cls(
-            ws=Workspace.from_dict(d["workspace"], physics=layout.physics),
-            layout=layout,
-            seed=int(d["seed"]),
-            current_step=int(d["current_step"]),
-            baseline=d.get("baseline"),
-            log=list(d.get("log", [])),
-        )
+        try:
+            for i, comp in enumerate(d["workspace"]["components"]):
+                validate_component(comp["kind"], comp.get("params", {}),
+                                   f"workspace.components[{i}]")
+            return cls(
+                ws=Workspace.from_dict(d["workspace"], physics=layout.physics),
+                layout=layout,
+                seed=int(d["seed"]),
+                current_step=int(d["current_step"]),
+                baseline=d.get("baseline"),
+                log=list(d.get("log", [])),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise LayoutError(f"saved workspace does not decode: "
+                              f"{type(exc).__name__}: {exc}") from exc
 
 
 @dataclasses.dataclass(frozen=True)
@@ -305,8 +318,9 @@ def _step_bs_reference(state: PipelineState, step, rng, ctx) -> None:
     cam_arm = _need(roles.cam_arm, "side-arm camera")
     state.ws = move_component(state.ws, bs, _station(layout, bs, ctx["fit"]))
     state.log_event(step, f"station {bs}")
-    probe = camera_view(state.ws, cam_arm)
-    tolerance = _BS_WIDTH_FRACTION * probe.width * probe.pixel_pitch_mm
+    arm = state.ws.component(cam_arm)
+    tolerance = (_BS_WIDTH_FRACTION * int(arm.param("width_px"))
+                 * float(arm.param("pixel_pitch_mm")))
     state.ws, trace = spatial_optimize(
         state.ws, bs, cam_arm, cfg=SpatialOptConfig(tolerance_mm=tolerance))
     state.log_event(step, f"spatial optimize {bs}", trace.summary())
@@ -418,23 +432,22 @@ def _step_place_crystal(state: PipelineState, step, rng, ctx) -> None:
     state.ws, theta, sweep = crystal_sweep(state.ws, crystal, cam_main)
     state.log_event(step, f"sweep {crystal}", {
         "theta_deg": theta, "evaluations": len(sweep)})
-    stats = beam_stats(camera_view(state.ws, cam_main))
+    frame = camera_view(state.ws, cam_main)
+    stats = beam_stats(frame)
     sigma_ref = float(max(stats.sigma_px)) if stats.detected else None
 
-    def score():
-        return emission_score(
-            beam_stats(camera_view(state.ws, cam_main), sigma_ref_px=sigma_ref),
-            root=True)
+    def score(frame):
+        return emission_score(beam_stats(frame, sigma_ref_px=sigma_ref), root=True)
 
     incoming = knob_readings(state.ws, (ic, oc))
-    incoming_score = score()
+    incoming_score = score(frame)
     state.ws, trace = optimize_mode(
         state.ws, (ic, oc), cam_main, rng,
         span_deg=_MODE_SPAN_DEG, max_iters=_MODE_MAX_ITERS,
         init_samples=_MODE_INIT_SAMPLES,
         length_scale_deg=_MODE_LENGTH_SCALE_DEG, sigma_ref_px=sigma_ref)
     reverted = False
-    if score() < incoming_score:
+    if score(camera_view(state.ws, cam_main)) < incoming_score:
         # The optimizer applies the best point it sampled, which is not
         # guaranteed to beat the pre-search alignment; keep the better one.
         state.ws = apply_knob_readings(state.ws, incoming)
@@ -600,13 +613,6 @@ def _require_complete(state: PipelineState) -> None:
         raise WorkspaceError("a completed build is required")
 
 
-def _signal_ok(state: PipelineState) -> bool:
-    # Quality-aware: a drifted cavity can still glow at half the baseline
-    # intensity in a high-order mode, which is a lost signal, not a healthy
-    # one. The intensity-over-quality ratio catches both dark and degraded.
-    return _objective_ratio(state) >= _SIGNAL_FRACTION
-
-
 def _objective_ratio(state: PipelineState) -> float:
     roles = resolve_roles(state.layout)
     frame = camera_view(state.ws, _need(roles.cam_main, "main-axis camera"))
@@ -629,7 +635,10 @@ def surveillance_tick(state: PipelineState) -> dict:
             "displaced": [{"id": cid, "distance_mm": float(d)}
                           for cid, d in displaced],
         }
-    if not _signal_ok(state):
+    # Quality-aware: a drifted cavity can still glow at half the baseline
+    # intensity in a high-order mode, which is a lost signal, not a healthy
+    # one. The intensity-over-quality ratio catches both dark and degraded.
+    if _objective_ratio(state) < _SIGNAL_FRACTION:
         return {"status": "signal_lost"}
     return {"status": "ok"}
 
@@ -657,17 +666,19 @@ def recover_displacement(state: PipelineState) -> RecoveryReport:
 
     restore()
     attempts = 0
-    while not _signal_ok(state) and attempts < _DISPLACEMENT_MAX_ATTEMPTS:
+    ratio = _objective_ratio(state)
+    while ratio < _SIGNAL_FRACTION and attempts < _DISPLACEMENT_MAX_ATTEMPTS:
         attempts += 1
         restore()
-    success = _signal_ok(state)
+        ratio = _objective_ratio(state)
+    success = ratio >= _SIGNAL_FRACTION
     return RecoveryReport(
         scenario="displacement",
         success=success,
         attempts=attempts,
         iterations=0,
         actions=state.ws.action_count - actions0,
-        ratio=_objective_ratio(state) if success else 0.0,
+        ratio=ratio if success else 0.0,
         details={"displaced": displaced, "placements": attempts + 1},
     )
 
@@ -728,9 +739,12 @@ def recover_drift(state: PipelineState, rng=None,
             best_pairs = knob_readings(state.ws, mirrors)
         else:
             state.ws = apply_knob_readings(state.ws, best_pairs)
-        if -best_cost >= target and _signal_ok(state):
+        # The knobs now sit at the best readings so far, whose ratio is
+        # -best_cost over the baseline objective: the target clears the
+        # signal threshold with room to spare.
+        if -best_cost >= target:
             break
-    success = bool(-best_cost >= target and _signal_ok(state))
+    success = -best_cost >= target
     return RecoveryReport(
         scenario="drift",
         success=success,

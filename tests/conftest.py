@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from cavforge import align, physics, pipeline
 from cavforge.layout import default_layout, validate_layout
 from cavforge.pipeline import run_construction
 
@@ -23,3 +24,17 @@ def state(built):
     return dataclasses.replace(built,
                                reference_frames=dict(built.reference_frames),
                                log=list(built.log))
+
+
+@pytest.fixture
+def frames(monkeypatch):
+    """The camera ids of every frame ``align`` and ``pipeline`` render."""
+    rendered = []
+
+    def counted(ws, camera_id):
+        rendered.append(camera_id)
+        return physics.camera_view(ws, camera_id)
+
+    for module in (align, pipeline):
+        monkeypatch.setattr(module, "camera_view", counted)
+    return rendered

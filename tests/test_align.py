@@ -79,6 +79,13 @@ def test_spatial_optimize_hits_an_explicit_target():
     assert trace.converged
 
 
+def test_spatial_optimize_renders_one_frame_per_trace_entry(frames):
+    ws = bench([pump(y=1.7), camera("cam", 300.0)], sigma=0.05)
+    _, trace = spatial_optimize(ws, "pump", "cam")
+    assert len(trace) >= 3  # a probe and a correction at least
+    assert len(frames) == len(trace)
+
+
 def test_spatial_probe_must_exceed_placement_noise():
     ws = bench([pump(), camera("cam", 300.0)], sigma=0.4)
     with pytest.raises(WorkspaceError):

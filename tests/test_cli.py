@@ -177,12 +177,73 @@ def test_state_with_a_wrong_schema_version_exits_2(built_dir, tmp_path, capsys):
     assert not (tmp_path / "cam1_step12.pgm").exists()
 
 
-def test_module_entry_point_runs_from_a_checkout():
+def _saved_component(state, kind):
+    return next(c for c in state["workspace"]["components"] if c["kind"] == kind)
+
+
+def _edit_state(built_dir, tmp_path, edit):
+    state = json.loads((built_dir / "state.json").read_text())
+    edit(state)
+    (tmp_path / "state.json").write_text(json.dumps(state))
+
+
+def _assert_exit_2(argv, capsys, words):
+    code, _ = _run(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and words in err
+    assert "Traceback" not in err
+
+
+def test_saved_pump_power_that_is_not_a_number_exits_2(built_dir, tmp_path, capsys):
+    _edit_state(built_dir, tmp_path, lambda s: _saved_component(
+        s, "PumpSource")["params"].update(power="x"))
+    _assert_exit_2(["power-curve", "--out", str(tmp_path)], capsys,
+                   "power must be a finite number")
+    assert not (tmp_path / "power_curve.csv").exists()
+
+
+def test_saved_component_of_an_unknown_kind_exits_2(built_dir, tmp_path, capsys):
+    _edit_state(built_dir, tmp_path, lambda s: _saved_component(
+        s, "Lens").update(kind="Prism"))
+    _assert_exit_2(["render", "--out", str(tmp_path)], capsys, "unknown kind 'Prism'")
+    assert not (tmp_path / "cam1_step12.pgm").exists()
+
+
+def test_saved_workspace_without_an_rng_state_exits_2(built_dir, tmp_path, capsys):
+    _edit_state(built_dir, tmp_path, lambda s: s["workspace"].pop("rng_state"))
+    _assert_exit_2(["render", "--out", str(tmp_path)], capsys, "rng_state")
+    assert not (tmp_path / "cam1_step12.pgm").exists()
+
+
+def _checkout_env():
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_build_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # The determinism contract holds whether OpenBLAS runs one thread or
+    # its default pool.
+    single = {**_checkout_env(), "OPENBLAS_NUM_THREADS": "1"}
+    pooled = {k: v for k, v in _checkout_env().items()
+              if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    for name, env in (("single", single), ("pooled", pooled)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cavforge", "build", "--seed", "42",
+             "--out", str(tmp_path / name)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+    names = sorted(p.name for p in (tmp_path / "single").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "pooled").iterdir())
+    for name in names:
+        assert (tmp_path / "single" / name).read_bytes() \
+            == (tmp_path / "pooled" / name).read_bytes(), name
+
+
+def test_module_entry_point_runs_from_a_checkout():
     proc = subprocess.run([sys.executable, "-m", "cavforge", "--help"],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, env=_checkout_env())
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: cavforge")
 

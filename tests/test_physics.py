@@ -9,7 +9,7 @@ from cavforge.errors import MissingComponentError, TraceError, WorkspaceError
 from cavforge.physics import (CameraFrame, PhysicsConfig, beam_radius,
                               camera_view, cavity_response,
                               fluorescence_power, primary_hit, q_at_waist,
-                              secondary_beam, trace_beam)
+                              trace_beam)
 from cavforge.simcore import (Component, ComponentKind, Pose,
                               inject_displacement, set_knob_readings)
 from cavforge.vision import beam_stats, centroid, mm_to_pixels
@@ -171,30 +171,6 @@ def test_camera_view_maps_table_offset_to_pixels():
     # floor trims the far tail, so the second moment sits a touch low)
     w_px = beam_radius(q_at_waist(0.3, 8.08e-4) + 300.0, 8.08e-4) / frame.pixel_pitch_mm
     assert spot.sigma_px[0] == pytest.approx(w_px / 2.0, rel=0.08)
-
-
-def test_secondary_beam_needs_both_mirrors():
-    ws = bench([pump(), camera("cam", 300.0)])
-    with pytest.raises(MissingComponentError):
-        secondary_beam(ws, "cam")
-
-
-def test_secondary_beam_returns_round_trip_or_none():
-    items = [
-        pump(),
-        mirror("ic", ComponentKind.MIRROR_IC, 100.0,
-               pump_transmission=0.7, pump_reflectivity=0.3),
-        mirror("oc", ComponentKind.MIRROR_OC, 150.0,
-               pump_transmission=0.5, pump_reflectivity=0.5),
-        camera("cam", 250.0, gain_pump=1.0),
-    ]
-    hit = secondary_beam(bench(items), "cam")
-    assert hit is not None
-    assert hit.n_bounces >= 1
-    assert hit.u_mm == pytest.approx(0.0, abs=1e-12)  # square seats: on axis
-    # a heavy seat error throws the round trip off the sensor
-    ws_bad = set_knob_readings(bench(items), "oc", 2000.0, 0.0)
-    assert secondary_beam(ws_bad, "cam") is None
 
 
 def test_cavity_response_frozen_alignment_table():

@@ -97,6 +97,13 @@ def test_recover_displacement_restores_a_bumped_lens(state):
     assert surveillance_tick(state)["status"] == "ok"
 
 
+def test_recover_displacement_renders_one_frame_per_placement_pass(state, frames):
+    state.ws = inject_displacement(state.ws, "lens", dy=6.0, dx=2.0)
+    report = recover_displacement(state)
+    assert report.success
+    assert len(frames) == report.attempts + 1
+
+
 def test_recover_displacement_needs_a_snapshot(state):
     state.ws = dataclasses.replace(state.ws, snapshot=None)
     with pytest.raises(NoSnapshotError):
@@ -115,6 +122,21 @@ def test_recover_drift_resurrects_a_crept_cavity(state):
     assert report.details["rounds"]  # zoom schedule actually ran
     assert cavity_response(state.ws).mode_order == 0
     assert surveillance_tick(state)["status"] == "ok"
+
+
+def test_recover_drift_renders_one_frame_per_evaluation_and_one_for_the_ratio(
+        state, frames):
+    state.ws = randomize_knobs(state.ws, ["ic", "oc"], 30.0, 60.0)
+    report = recover_drift(state, rng=np.random.default_rng(4))
+    assert report.success
+    assert len(frames) == report.iterations + 1
+
+
+def test_construction_renders_each_bench_state_once(layout, frames):
+    # Frozen for seed 42. A routine that renders again a bench state it has
+    # just measured raises the count.
+    run_construction(layout, 42)
+    assert len(frames) == 102
 
 
 def test_construction_error_carries_the_failing_step(layout):
