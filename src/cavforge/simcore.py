@@ -298,7 +298,8 @@ class Workspace:
             snapshot = {k: Pose.from_dict(p) for k, p in d["snapshot"].items()}
         return cls(
             components=tuple(Component.from_dict(c) for c in d["components"]),
-            rng_state=d["rng_state"],
+            # decoding through the bit generator rejects a malformed state
+            rng_state=_generator(d["rng_state"]).bit_generator.state,
             placement_noise_sigma=d["placement_noise_sigma"],
             table_bounds=(
                 tuple(d["table_bounds"][0]),

@@ -216,6 +216,19 @@ def test_saved_workspace_without_an_rng_state_exits_2(built_dir, tmp_path, capsy
     assert not (tmp_path / "cam1_step12.pgm").exists()
 
 
+@pytest.mark.parametrize("argv", [["render"],
+                                  ["perturb", "displace", "--id", "lens", "--dy", "3"]],
+                         ids=["render", "perturb"])
+def test_saved_rng_state_that_does_not_decode_exits_2(built_dir, tmp_path, capsys,
+                                                      argv):
+    _edit_state(built_dir, tmp_path,
+                lambda s: s["workspace"].update(rng_state={"bogus": 1}))
+    saved = (tmp_path / "state.json").read_text()
+    _assert_exit_2(argv + ["--out", str(tmp_path)], capsys, "PCG64")
+    assert (tmp_path / "state.json").read_text() == saved
+    assert not (tmp_path / "cam1_step12.pgm").exists()
+
+
 def _checkout_env():
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

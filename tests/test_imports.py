@@ -1,6 +1,9 @@
 """No cavforge module imports another module's private names."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cavforge
@@ -34,3 +37,16 @@ def test_the_guard_sees_a_private_import(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("from . import _kernels\nfrom .pipeline import _Roles\n")
     assert list(_private_imports(bad)) == ["bad.py:2: from .pipeline import _Roles"]
+
+
+def test_the_program_does_not_import_scipy_optimize():
+    # The probe refinement is cavforge's own Nelder-Mead (align._nelder_mead);
+    # SciPy's optimizer is a test reference only.
+    code = ("import sys, cavforge.cli, cavforge.trials; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    src = str(SRC.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"
