@@ -287,6 +287,12 @@ _LHS_CANDIDATES = 4096
 # A space-filling probe is the one of this many Latin-hypercube samples that
 # lies farthest from every observed point.
 _SPACE_FILLING_CANDIDATES = 1024
+# The best candidate is refined by this many rounds of a pattern search over
+# a stencil of this many points per axis (fewer above two dimensions, where
+# the stencil grows as the power of the dimension).
+_STENCIL_ROUNDS = 8
+_STENCIL_PER_AXIS = 9
+_STENCIL_PER_AXIS_ABOVE_2D = 5
 
 
 def latin_hypercube(rng: np.random.Generator, bounds, n: int) -> np.ndarray:
@@ -352,29 +358,6 @@ class GaussianProcess:
         var = self._sf2 - np.einsum("ij,ji->i", Ks, v)
         return mu, np.sqrt(np.clip(var, 1e-18, None))
 
-    def predict_one(self, x):
-        """``predict`` of the single point ``x`` (shape ``(d,)``) as floats.
-
-        The same operations on the same shapes, so the same bits, without
-        the per-call cost of ``cdist`` and ``cho_solve``. ``cdist`` sums the
-        squared differences coordinate by coordinate, and so does the loop
-        below. A NaN point or a non-finite result raises ``ValueError``,
-        as a NaN point does in ``predict``.
-        """
-        if self._X is None:
-            raise WorkspaceError("predict before fit")
-        sq = (self._X - x) ** 2
-        d2 = sq[:, 0]
-        for k in range(1, sq.shape[1]):
-            d2 = d2 + sq[:, k]
-        Ks = self._sf2 * np.exp(-0.5 * d2[None, :] / (self.length_scale ** 2))
-        mu = self._mean + float((Ks @ self._alpha)[0])
-        v = self._solve(Ks.T)
-        var = self._sf2 - float(np.einsum("ij,ji->i", Ks, v)[0])
-        if not (math.isfinite(mu) and math.isfinite(var)):
-            raise ValueError("array must not contain infs or NaNs")
-        return mu, math.sqrt(max(var, 1e-18))
-
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -390,165 +373,56 @@ def expected_improvement(mu, sigma, best):
     return np.where(sigma > 0, ei, np.maximum(improve, 0.0))
 
 
-def _expected_improvement_one(mu, sigma, best):
-    """``expected_improvement`` of one point with ``sigma > 0``, as a float.
-
-    The same operations in the same order; ``np.exp`` rather than
-    ``math.exp``, which rounds differently from NumPy's vector exp.
-    """
-    improve = best - mu
-    z = improve / sigma
-    pdf = np.exp(-0.5 * z * z) / _SQRT_2PI
-    return float(improve * ndtr(z) + sigma * pdf)
-
-
 def _space_filling(rng, bounds, observed):
     candidates = latin_hypercube(rng, bounds, _SPACE_FILLING_CANDIDATES)
     gaps = cdist(candidates, observed).min(axis=1)
     return candidates[int(np.argmax(gaps))]
 
 
-class _BudgetSpent(Exception):
-    """The evaluation limit of :func:`_nelder_mead` was reached."""
-
-
-def _nelder_mead(f, x0, xatol, fatol, maxfev):
-    """Minimize ``f`` from ``x0`` with the Nelder-Mead simplex method.
-
-    A transcription of SciPy 1.17.1's ``_minimize_neldermead`` for the one
-    configuration ``_propose`` uses: no bounds, the standard (not adaptive)
-    coefficients, the default initial simplex and a limit on evaluations
-    only. The arithmetic is the same, ``np.argsort`` breaks ties the same
-    way, and the run stops in the middle of an iteration once ``maxfev``
-    evaluations are spent, so it returns the same bits as
-    ``scipy.optimize.minimize(method="Nelder-Mead")``. SciPy's per-call copy
-    and scalar check and its per-iteration result object are left out, so
-    ``f`` must not modify its argument and must return a float.
-    Returns ``(x, fun)``.
-    """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    nonzdelt, zdelt = 0.05, 0.00025
-    x0 = np.asarray(x0, dtype=float)
-    n = len(x0)
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        y = np.array(x0, copy=True)
-        if y[k] != 0:
-            y[k] = (1 + nonzdelt) * y[k]
-        else:
-            y[k] = zdelt
-        sim[k + 1] = y
-    fsim = np.full((n + 1,), np.inf)
-    nfev = 0
-
-    def call(x):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _BudgetSpent
-        nfev += 1
-        return f(x)
-
-    try:
-        for k in range(n + 1):
-            fsim[k] = call(sim[k])
-    except _BudgetSpent:
-        pass
-    # Sorted twice, as SciPy does.
-    for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-
-    while nfev < maxfev:
-        try:
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
-                    np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-                break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = (1 + rho) * xbar - rho * sim[-1]
-            fxr = call(xr)
-            if fxr < fsim[0]:
-                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-                fxe = call(xe)
-                if fxe < fxr:
-                    sim[-1] = xe
-                    fsim[-1] = fxe
-                else:
-                    sim[-1] = xr
-                    fsim[-1] = fxr
-            elif fxr < fsim[-2]:
-                sim[-1] = xr
-                fsim[-1] = fxr
-            else:
-                doshrink = False
-                if fxr < fsim[-1]:
-                    # outside contraction
-                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                    fxc = call(xc)
-                    if fxc <= fxr:
-                        sim[-1] = xc
-                        fsim[-1] = fxc
-                    else:
-                        doshrink = True
-                else:
-                    # inside contraction
-                    xcc = (1 - psi) * xbar + psi * sim[-1]
-                    fxcc = call(xcc)
-                    if fxcc < fsim[-1]:
-                        sim[-1] = xcc
-                        fsim[-1] = fxcc
-                    else:
-                        doshrink = True
-                if doshrink:
-                    # A vertex moves before it is scored; a spent budget
-                    # leaves it moved with its old value, as in SciPy.
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                        fsim[j] = call(sim[j])
-        except _BudgetSpent:
-            pass
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-    return sim[0], np.min(fsim)
-
-
 def _propose(rng, bounds, X, y, length_scale, noise_scale, exploit=False):
     b = np.asarray(bounds, dtype=float)
     d = b.shape[0]
+    lo, hi = b[:, 0], b[:, 1]
     observed = np.vstack(X)
     values = np.asarray(y, dtype=float)
     if np.ptp(values) <= 0.0:
         # No gradient information at all yet: keep covering the box.
         return _space_filling(rng, b, observed)
     gp = GaussianProcess(length_scale, noise_scale).fit(observed, values)
+    best = float(values.min())
+
+    def score(points):
+        if exploit:
+            return gp.predict(points)[0]
+        return -expected_improvement(*gp.predict(points), best)
+
     if d <= 2:
         axes = [np.linspace(lo, hi, _MESH_PER_AXIS) for lo, hi in b]
         cands = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+        cells = _MESH_PER_AXIS - 1
     else:
         cands = latin_hypercube(rng, b, _LHS_CANDIDATES)
-    best = float(values.min())
+        cells = _LHS_CANDIDATES ** (1.0 / d)
+    scored = score(cands)
+    i = int(np.argmin(scored))
+    pick, value = cands[i], scored[i]
 
-    lo, hi = b[:, 0], b[:, 1]
-    if exploit:
-        scored = gp.predict(cands)[0]
-
-        def refine(x):
-            return gp.predict_one(np.clip(x, lo, hi))[0]
-    else:
-        scored = -expected_improvement(*gp.predict(cands), best)
-
-        def refine(x):
-            # predict_one floors sigma at 1e-9, so the sigma > 0 branch holds
-            mu, sigma = gp.predict_one(np.clip(x, lo, hi))
-            return -_expected_improvement_one(mu, sigma, best)
-
-    pick = cands[int(np.argmin(scored))]
-    x, fun = _nelder_mead(refine, pick, xatol=1e-3, fatol=1e-12, maxfev=80 * d)
-    if np.all(np.isfinite(x)) and fun <= float(np.min(scored)):
-        pick = np.clip(x, lo, hi)
-    span = float(np.mean(b[:, 1] - b[:, 0]))
+    # Pattern search on a k^d stencil that starts one candidate cell wide:
+    # move to the stencil's best point while it beats the incumbent, halve
+    # the stencil when it does not.
+    k = _STENCIL_PER_AXIS if d <= 2 else _STENCIL_PER_AXIS_ABOVE_2D
+    unit = np.stack(np.meshgrid(*[np.linspace(-1.0, 1.0, k)] * d, indexing="ij"),
+                    axis=-1).reshape(-1, d)
+    half = (hi - lo) / cells
+    for _ in range(_STENCIL_ROUNDS):
+        points = np.clip(pick + half * unit, lo, hi)
+        scored = score(points)
+        i = int(np.argmin(scored))
+        if scored[i] < value:
+            pick, value = points[i], scored[i]
+        else:
+            half = half / 2.0
+    span = float(np.mean(hi - lo))
     if cdist(pick[None, :], observed).min() < 1e-8 * span:
         pick = _space_filling(rng, b, observed)
     return pick
@@ -562,10 +436,12 @@ def bayesian_optimize(objective, bounds, rng: np.random.Generator, *,
     """Minimize a black-box objective inside a box with a GP surrogate.
 
     Starts from a Latin-hypercube batch (always evaluated in full), then
-    repeatedly samples the expected-improvement maximizer (dense mesh up to
-    two dims, seeded candidates plus simplex refinement above). While the
-    observations are all identical there is nothing to model, so it falls
-    back to filling the largest gap. Stops once ``success_cost`` is reached.
+    repeatedly samples the expected-improvement maximizer: the best of a
+    dense mesh up to two dims, or of seeded Latin-hypercube candidates
+    above, refined by a pattern search on a shrinking stencil, each stencil
+    scored in one batch. While the observations are all identical there is
+    nothing to model, so it falls back to filling the largest gap. Stops
+    once ``success_cost`` is reached.
 
     ``exploit_every=k`` makes every k-th proposal minimize the posterior
     mean instead of maximizing expected improvement. Funnel-shaped costs

@@ -73,6 +73,14 @@ _MODE_MAX_ITERS = 24
 _MODE_INIT_SAMPLES = 8
 _MODE_LENGTH_SCALE_DEG = 6.0
 _DRIFT_SUCCESS_FRACTION = 0.9
+# A drift round stops once the camera total reaches this fraction of the
+# baseline intensity. The first higher-order mode sits just below it: in
+# the lasing model (output proportional to P - p_th (1 + c m^2)) the 1.3
+# band edge of the misalignment m gives 0.931 of the seed-42 baseline
+# output, and recoveries stuck on the mode-1 shelf read 0.91-0.93 of the
+# baseline intensity on the camera, fluorescence and clipping included.
+# Stops of 0.94, 0.96 and 0.98 fail the same benchmark drift trials.
+_DRIFT_STOP_FRACTION = 0.96
 _DRIFT_SPAN_DEG = 65.0
 _DRIFT_INIT_SAMPLES = 12
 _DRIFT_LENGTH_SCALE_DEG = 20.0
@@ -688,17 +696,24 @@ def recover_drift(state: PipelineState, rng=None,
     """Re-search the four cavity knobs after the mounts have crept.
 
     Runs the joint knob optimizer over both knobs of the input and output
-    mirrors, on intensity over beam quality, in a zoom-in schedule: the
-    first round searches ``_DRIFT_SPAN_DEG`` either side of the current
-    readings, and each later round re-centers a smaller box on the best
-    readings so far, because the quality term jumps at the mode boundaries
-    and a single wide-box search tends to park on the first lasing shelf it
-    finds. Rounds share the ``max_iters`` evaluation budget and any round
-    may stop the whole search early by clearing 90% of the stored baseline.
-    A round that ends worse than its predecessor is rolled back, to the
-    readings saved after the best round, before the next one.
+    mirrors in a zoom-in schedule: the first round searches
+    ``_DRIFT_SPAN_DEG`` either side of the current readings, and each later
+    round re-centers a smaller box on the best readings so far. Every round
+    climbs on the total camera intensity, which falls smoothly with
+    misalignment, and stops once it reaches ``_DRIFT_STOP_FRACTION`` of the
+    baseline intensity; intensity over beam quality, the score the bench is
+    judged on, drops threefold at each mode boundary, and a search on it
+    tends to park on the first higher-order shelf it finds. A round that
+    ends with less intensity than its predecessor is rolled back, to the
+    readings saved after the best round. Rounds share the ``max_iters``
+    evaluation budget. After each round the intensity-over-quality ratio to
+    the baseline is read once at the best readings; the search stops, and
+    the recovery succeeds, once it reaches ``_DRIFT_SUCCESS_FRACTION``. The
+    report carries that last ratio.
     """
     _require_complete(state)
+    if max_iters < 1:
+        raise WorkspaceError("max_iters must be at least 1")
     roles = resolve_roles(state.layout)
     ic = _need(roles.ic, "input mirror")
     oc = _need(roles.oc, "output mirror")
@@ -707,7 +722,7 @@ def recover_drift(state: PipelineState, rng=None,
         rng = np.random.default_rng(np.random.SeedSequence(
             [state.seed, _DRIFT_STREAM, state.ws.action_count]))
     actions0 = state.ws.action_count
-    target = _DRIFT_SUCCESS_FRACTION * state.baseline["objective"]
+    stop = _DRIFT_STOP_FRACTION * state.baseline["objective"]
     mirrors = (ic, oc)
     rounds = (
         (_DRIFT_SPAN_DEG, max(_DRIFT_INIT_SAMPLES, round(0.30 * max_iters)),
@@ -726,12 +741,12 @@ def recover_drift(state: PipelineState, rng=None,
         budget = max_iters - used if i == len(rounds) - 1 else min(iters, max_iters - used)
         if budget < 1:
             break
+        # No reference width: the score is the total intensity.
         state.ws, trace = optimize_mode(
             state.ws, mirrors, cam_main, rng,
             span_deg=span, max_iters=budget,
             init_samples=min(init, budget), length_scale_deg=scale,
-            sigma_ref_px=state.baseline["sigma_px"],
-            objective_kind="I_over_M2", success_value=target)
+            objective_kind="I_over_M2", success_value=stop)
         used += len(trace)
         summaries.append(trace.summary())
         if trace.best_objective < best_cost:
@@ -739,18 +754,15 @@ def recover_drift(state: PipelineState, rng=None,
             best_pairs = knob_readings(state.ws, mirrors)
         else:
             state.ws = apply_knob_readings(state.ws, best_pairs)
-        # The knobs now sit at the best readings so far, whose ratio is
-        # -best_cost over the baseline objective: the target clears the
-        # signal threshold with room to spare.
-        if -best_cost >= target:
+        ratio = _objective_ratio(state)
+        if ratio >= _DRIFT_SUCCESS_FRACTION:
             break
-    success = -best_cost >= target
     return RecoveryReport(
         scenario="drift",
-        success=success,
+        success=ratio >= _DRIFT_SUCCESS_FRACTION,
         attempts=0,
         iterations=used,
         actions=state.ws.action_count - actions0,
-        ratio=_objective_ratio(state),
-        details={"target": target, "rounds": summaries},
+        ratio=ratio,
+        details={"stop_intensity": stop, "rounds": summaries},
     )

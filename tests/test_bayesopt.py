@@ -1,14 +1,13 @@
+import copy
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy.optimize import minimize
+from scipy.spatial.distance import cdist
 
-from cavforge.align import (GaussianProcess, _expected_improvement_one,
-                            _nelder_mead, bayesian_optimize,
-                            expected_improvement, latin_hypercube)
+from cavforge.align import (_LHS_CANDIDATES, _MESH_PER_AXIS, GaussianProcess,
+                            _propose, bayesian_optimize, expected_improvement,
+                            latin_hypercube)
 from cavforge.errors import BeamLostError, WorkspaceError
 
 BOWL_ARGS = dict(max_iters=25, init_samples=6, length_scale=1.2,
@@ -48,70 +47,61 @@ def test_gp_validation():
         GaussianProcess(length_scale=0.0)
     with pytest.raises(WorkspaceError):
         GaussianProcess(length_scale=1.0).predict([[0.0]])
-    with pytest.raises(WorkspaceError):
-        GaussianProcess(length_scale=1.0).predict_one(np.zeros(1))
-
-
-def _bits(value):
-    return float(value).hex()
-
-
-@settings(max_examples=150, deadline=None)
-@given(n=st.integers(1, 60), d=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
-       repeats=st.integers(0, 10), flat=st.booleans(),
-       length_scale=st.floats(0.05, 20.0), reach=st.sampled_from([0.5, 1.0, 3.0, 1e3]))
-def test_one_point_posterior_and_ei_match_the_vector_path_bit_for_bit(
-        n, d, seed, repeats, flat, length_scale, reach):
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(-3.0, 3.0, (n, d))
-    X[rng.integers(0, n, repeats)] = X[0]  # repeated rows
-    y = np.full(n, 0.5) if flat else rng.normal(0.0, 2.0, n)
-    gp = GaussianProcess(length_scale).fit(X, y)
-    # points inside the box and, for reach > 1, outside it
-    for x in rng.uniform(-3.0 * reach, 3.0 * reach, (8, d)):
-        mu_v, sigma_v = gp.predict(x[None, :])
-        mu, sigma = gp.predict_one(x)
-        assert (_bits(mu), _bits(sigma)) == (_bits(mu_v[0]), _bits(sigma_v[0]))
-        # incumbents from 4 sigma below the mean to 4 sigma above it
-        for best in mu + sigma * rng.uniform(-4.0, 4.0, 32):
-            assert _bits(_expected_improvement_one(mu, sigma, best)) \
-                == _bits(expected_improvement(mu_v, sigma_v, best)[0])
-    x[0] = math.nan
+    gp = GaussianProcess(length_scale=1.0).fit([[0.0], [1.0]], [0.0, 1.0])
     with pytest.raises(ValueError):
-        gp.predict_one(x)
-    with pytest.raises(ValueError):
-        gp.predict(x[None, :])
+        gp.predict([[math.nan]])
 
 
-def _quadratic(rng, d):
-    center = rng.uniform(-2.0, 2.0, d)
-    A = rng.normal(0.0, 1.0, (d, d))
-    H = A @ A.T + 0.1 * np.eye(d)
-
-    def fn(x):
-        r = x - center
-        return float(r @ H @ r)
-
-    return fn
-
-
-@settings(max_examples=150, deadline=None)
-@given(d=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
-       rounded=st.booleans(), zeros=st.lists(st.booleans(), min_size=4, max_size=4),
-       budget=st.sampled_from(["5", "40d", "80d"]))
-def test_nelder_mead_matches_scipy_bit_for_bit(d, seed, rounded, zeros, budget):
+def _observations(seed, d):
     rng = np.random.default_rng(seed)
-    quadratic = _quadratic(rng, d)
-    # rounding gives plateaus, so ties in the simplex ordering
-    fn = (lambda x: round(quadratic(x), 1)) if rounded else quadratic
-    x0 = rng.uniform(-3.0, 3.0, d)
-    x0[np.array(zeros[:d])] = 0.0  # zero coordinates take the 0.00025 step
-    maxfev = {"5": 5, "40d": 40 * d, "80d": 80 * d}[budget]
-    ref = minimize(fn, x0, method="Nelder-Mead",
-                   options={"xatol": 1e-3, "fatol": 1e-12, "maxfev": maxfev})
-    x, fun = _nelder_mead(fn, x0, xatol=1e-3, fatol=1e-12, maxfev=maxfev)
-    assert x.tobytes() == ref.x.tobytes()
-    assert _bits(fun) == _bits(ref.fun)
+    X = rng.uniform(-3.0, 3.0, (6 + 3 * d, d))
+    y = np.array([_bump(x) if d == 4 else _bowl(x[:2]) if d == 2 else
+                  math.sin(2.0 * x[0]) for x in X])
+    return [x for x in X], list(y)
+
+
+def _acquisition(gp, points, best, exploit):
+    mu, sigma = gp.predict(points)
+    return mu if exploit else -expected_improvement(mu, sigma, best)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("exploit", [False, True], ids=["ei", "mean"])
+@pytest.mark.parametrize("seed", range(4))
+def test_stencil_step_improves_on_the_candidate_pick(d, exploit, seed):
+    bounds = np.array([(-3.0, 3.0)] * d)
+    X, y = _observations(seed, d)
+    rng = np.random.default_rng(seed)
+    twin = copy.deepcopy(rng)  # replays the Latin-hypercube candidates
+    pick = _propose(rng, bounds, X, y, 1.2, 1e-4, exploit=exploit)
+    assert np.all(pick >= bounds[:, 0]) and np.all(pick <= bounds[:, 1])
+    assert cdist(pick[None, :], np.vstack(X)).min() > 1e-6  # no fallback here
+    if d <= 2:
+        axes = [np.linspace(-3.0, 3.0, _MESH_PER_AXIS)] * d
+        cands = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    else:
+        cands = latin_hypercube(twin, bounds, _LHS_CANDIDATES)
+    gp = GaussianProcess(1.2, 1e-4).fit(np.vstack(X), np.asarray(y))
+    best = min(y)
+    picked = _acquisition(gp, pick[None, :], best, exploit)[0]
+    assert picked <= _acquisition(gp, cands, best, exploit).min()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_proposals_draw_nothing_up_to_two_dimensions(d):
+    bounds = [(-3.0, 3.0)] * d
+    for seed in range(4):
+        X, y = _observations(seed, d)
+        for exploit in (False, True):
+            rng = np.random.default_rng(seed)
+            state = copy.deepcopy(rng.bit_generator.state)
+            _propose(rng, bounds, X, y, 1.2, 1e-4, exploit=exploit)
+            assert rng.bit_generator.state == state
+    # only the space-filling fallback draws: nothing to model yet
+    rng = np.random.default_rng(0)
+    state = copy.deepcopy(rng.bit_generator.state)
+    _propose(rng, bounds, X, [1.0] * len(X), 1.2, 1e-4)
+    assert rng.bit_generator.state != state
 
 
 def test_expected_improvement_collapses_without_uncertainty():
@@ -248,25 +238,25 @@ _BOWL_HISTORY = (
     ((0.9741861932592553, 0.8976776081085487), 8.39720187315213),
     ((2.8442310376087407, -0.6075953356652217), 5.339978869340659),
     ((-2.5069769812682576, 2.676689351831066), 34.1703108406755),
-    ((1.003540547562065, -1.5333827667291482), 0.2177441778623838),
-    ((1.3649740907437005, -1.8235187569370859), 0.16435171606722226),
-    ((0.48857030912804167, -2.7622447075852925), 0.8425773229471749),
-    ((0.8350282989223816, -2.045521010702881), 0.029287824571854897),
-    ((-2.172568278281622, -3.0), 11.065189480358814),
-    ((0.9852894222581113, -1.9539402838251714), 0.0023378985516059195),
+    ((1.0029761904761905, -1.5342261904761907), 0.21695409934807236),
+    ((1.3660714285714282, -1.824404761904762), 0.16484197845804952),
+    ((0.4895833333333332, -2.761904761904762), 0.841024039824263),
+    ((0.8348214285714284, -2.046130952380952), 0.029412025226757406),
+    ((-2.171875, -3.0), 11.060791015625),
+    ((0.9851190476190476, -1.9538690476190477), 0.002349507511337865),
     ((3.0, 3.0), 29.0),
-    ((0.9913535404019251, -1.979732628066188), 0.00048552762868461156),
-    ((-3.0, -0.920001937011046), 17.166395816059893),
-    ((1.011178013534484, -2.0039426439773096), 0.00014049242810892552),
-    ((-0.2632864531551274, -0.29805972964717264), 4.492493346573917),
-    ((1.0078161269199746, -1.999285763990207), 6.160197310683615e-05),
+    ((0.9910714285714286, -1.9791666666666667), 0.0005137471655328762),
+    ((-3.0, -0.9196428571428575), 17.167171556122447),
+    ((1.0119047619047619, -2.0029761904761902), 0.0001505810657596348),
+    ((-0.2633928571428572, -0.2976190476190477), 4.49426241850907),
+    ((1.0089285714285714, -2.0), 7.971938775510148e-05),
     ((3.0, -3.0), 5.0),
-    ((1.010349693395448, -2.0004289870373415), 0.00010730018325798471),
-    ((0.26124596521629523, 3.0), 25.545757523909202),
-    ((1.0108029804633454, -1.9976055803725195), 0.00012243763224388602),
-    ((3.0, -1.79287492589288), 4.04290079632388),
-    ((1.01044607964054, -1.99781525494732), 0.00011389369080171168),
-    ((1.3812647621908183, -3.0), 1.1453628188884213),
+    ((1.0104166666666667, -2.0), 0.00010850694444444598),
+    ((0.26116071428571436, 3.0), 25.545883490114797),
+    ((1.0104166666666665, -1.9970238095238095), 0.00011736465419500819),
+    ((3.0, -1.7931547619047619), 4.042784952522676),
+    ((2.807286948335138, 1.174870966314244), 13.346091766367678),
+    ((1.3749999999999996, -3.0), 1.1406249999999996),
 )
 _BUMP_HISTORY = (
     ((-0.014314770527021015, -1.3466179040024662,
@@ -293,38 +283,42 @@ _BUMP_HISTORY = (
     ((1.619867770578736, 2.997326906654753,
       0.34478698491988835, 2.01827993723907),
      -0.019791408311874634),
-    ((0.7139084433436895, -1.292897137517078,
-      -1.2830500218898728, 2.4743347969870015),
-     -0.49110689629769905),
-    ((0.6006956323399093, -0.9838308346165252,
-      -0.5678352445191757, 2.6150734547470353),
-     -0.7211010911257251),
-    ((0.5001870863485725, -0.7898502632148735,
-      -0.03063305329945342, 2.78374958138632),
-     -0.7826912830119834),
-    ((1.2786850844459408, -0.8637872789838983,
-      0.06339034117518355, 3.0),
-     -0.6832570002871916),
-    ((0.18437049051433055, -1.5822077345289967,
-      0.18793965735351043, 2.8557686841997096),
-     -0.723433254767299),
-    ((0.48232354394948157, -0.9691766418766414,
-      0.22694897383016255, 2.0425034161795654),
-     -0.9748220168018201),
-    ((0.8662096851452661, -1.0176330221521726,
-      0.2182149782418209, 1.4471922403638704),
-     -0.9412434341992333),
-    ((-0.0641813085343703, -0.9926408772557624,
-      0.1816452649947931, 1.5218002622074858),
-     -0.8396971611753185),
-    ((0.7783246977130818, -1.1817312645905387,
-      0.7818591940611197, 1.9141946163175345),
-     -0.9653194915277853),
-    ((-3.0, 3.0, -3.0, 3.0), -6.668333038416855e-05),
-    ((0.8410510121564457, -0.6819648058407848,
-      0.4891810747448592, 1.8706454376049086),
-     -0.9557927575610957),
-    ((3.0, -3.0, -3.0, -3.0), -5.1074652437767155e-05),
+    ((0.7249030473088762, -1.2899953251975929,
+      -1.287947725739516, 2.506544443598292),
+     -0.4852637687809785),
+    ((0.6381737407820891, -0.9931884080496474,
+      -0.5976898434511799, 2.6651360940006894),
+     -0.7013994961097677),
+    ((0.565207890196068, -0.7856377549225426,
+      -0.050234376764905164, 2.8684982562768386),
+     -0.7561714066753606),
+    ((-0.20093220512530685, -0.8781862262781424,
+      -0.11655019855405113, 2.6581054114139615),
+     -0.6850130718052092),
+    ((0.7298965173829526, -1.5400719213696834,
+      0.2874164671963886, 2.6503213211046575),
+     -0.8426878124784859),
+    ((0.9439883210672786, -1.1778648400077012,
+      0.3658232662298868, 2.01487720961135),
+     -0.9823884711901072),
+    ((1.8411092285981745, -1.04085262746523,
+      0.37397074351559745, 1.946352384311739),
+     -0.7476893296326571),
+    ((0.5743443954479881, -1.3558374254105179,
+      0.30373775568119044, 1.4681119711576232),
+     -0.9402932230339393),
+    ((0.6362998613286317, -1.1026927083730764,
+      0.8793244748742834, 1.9165036233600787),
+     -0.9493100323149165),
+    ((-3.0, 3.0,
+      -3.0, 3.0),
+     -6.668333038416855e-05),
+    ((0.7125447344247893, -0.7673551505704741,
+      0.24480934527849385, 1.7236985056048475),
+     -0.9637882875535514),
+    ((3.0, -3.0,
+      -3.0, -3.0),
+     -5.1074652437767155e-05),
 )
 
 _BUMP_CENTER = (0.7, -1.1, 0.4, 1.9)

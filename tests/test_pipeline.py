@@ -12,7 +12,7 @@ from cavforge.physics import cavity_response
 from cavforge.pipeline import (PipelineState, StepId, measure_power_curve,
                                recover_displacement, recover_drift,
                                run_construction, surveillance_tick)
-from cavforge.simcore import inject_displacement, randomize_knobs
+from cavforge.simcore import inject_displacement, randomize_knobs, reseed
 from cavforge.vision import beam_stats
 
 
@@ -28,7 +28,7 @@ def test_construction_completes_all_twelve_steps(built):
 
 def test_baseline_is_frozen_for_the_default_seed(built):
     assert built.baseline["output_power"] == pytest.approx(
-        0.29494362402801083, rel=1e-12)
+        0.29490217868744345, rel=1e-12)
 
 
 def test_baseline_is_self_consistent(built):
@@ -124,19 +124,34 @@ def test_recover_drift_resurrects_a_crept_cavity(state):
     assert surveillance_tick(state)["status"] == "ok"
 
 
-def test_recover_drift_renders_one_frame_per_evaluation_and_one_for_the_ratio(
+def test_recover_drift_renders_one_frame_per_evaluation_and_one_per_round(
         state, frames):
     state.ws = randomize_knobs(state.ws, ["ic", "oc"], 30.0, 60.0)
     report = recover_drift(state, rng=np.random.default_rng(4))
     assert report.success
-    assert len(frames) == report.iterations + 1
+    assert len(frames) == report.iterations + len(report.details["rounds"])
+
+
+def test_recover_drift_succeeds_exactly_when_the_ratio_clears_90_percent(built):
+    # The full budget mostly succeeds; eight evaluations mostly do not.
+    outcomes = set()
+    for trial in range(4):
+        for max_iters in (60, 8):
+            state = dataclasses.replace(
+                built, ws=reseed(built.ws, trial), log=list(built.log))
+            state.ws = randomize_knobs(state.ws, ["ic", "oc"], 30.0, 60.0)
+            report = recover_drift(state, rng=np.random.default_rng(trial),
+                                   max_iters=max_iters)
+            assert report.success == (report.ratio >= 0.9)
+            outcomes.add(report.success)
+    assert outcomes == {True, False}
 
 
 def test_construction_renders_each_bench_state_once(layout, frames):
     # Frozen for seed 42. A routine that renders again a bench state it has
     # just measured raises the count.
     run_construction(layout, 42)
-    assert len(frames) == 102
+    assert len(frames) == 103
 
 
 def test_construction_error_carries_the_failing_step(layout):
