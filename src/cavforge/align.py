@@ -628,7 +628,9 @@ def optimize_mode(ws: Workspace, mirror_ids, camera_id: str,
     linear under ``I_over_M2``) over the beam-quality proxy, which counts
     only when a fundamental-mode reference width is supplied; a dark frame
     scores zero. The box spans ``span_deg`` either side of each starting
-    reading. Stops early once the score reaches ``success_value``.
+    reading. Stops early once the score reaches ``success_value``. The
+    trace's ``meta`` names the objective and the reference width, ``None``
+    when the score is the intensity alone.
     """
     if objective_kind not in ("sqrtI_over_M2", "I_over_M2"):
         raise WorkspaceError(f"unknown objective kind {objective_kind!r}")
@@ -661,5 +663,5 @@ def optimize_mode(ws: Workspace, mirror_ids, camera_id: str,
     trace.wall_actions = state["ws"].action_count - actions0
     trace.meta.update(camera=camera_id,
                       knob_axes=[[cid, axis] for cid in mirror_ids for axis in ("h", "v")],
-                      objective=f"neg_{objective_kind}")
+                      objective=f"neg_{objective_kind}", sigma_ref_px=sigma_ref_px)
     return state["ws"], trace

@@ -40,8 +40,8 @@ def test_the_guard_sees_a_private_import(tmp_path):
 
 
 def test_the_program_does_not_import_scipy_optimize():
-    # The probe refinement is cavforge's own Nelder-Mead (align._nelder_mead);
-    # SciPy's optimizer is a test reference only.
+    # The probe refinement is cavforge's own stencil search, so artifacts do
+    # not depend on the installed SciPy's optimizer.
     code = ("import sys, cavforge.cli, cavforge.trials; "
             "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
     src = str(SRC.parent)

@@ -120,6 +120,8 @@ def test_recover_drift_resurrects_a_crept_cavity(state):
     assert report.iterations <= 60
     assert report.ratio >= 0.9
     assert report.details["rounds"]  # zoom schedule actually ran
+    # every round climbs on intensity alone, with no reference width
+    assert all(r["sigma_ref_px"] is None for r in report.details["rounds"])
     assert cavity_response(state.ws).mode_order == 0
     assert surveillance_tick(state)["status"] == "ok"
 
@@ -145,6 +147,8 @@ def test_recover_drift_succeeds_exactly_when_the_ratio_clears_90_percent(built):
             assert report.success == (report.ratio >= 0.9)
             outcomes.add(report.success)
     assert outcomes == {True, False}
+    with pytest.raises(WorkspaceError):
+        recover_drift(state, max_iters=0)
 
 
 def test_construction_renders_each_bench_state_once(layout, frames):
