@@ -2,6 +2,9 @@
 
 ``physics`` and ``vision`` call these through the module (``_kernels.render_spot``),
 never by a name bound at import, so a caller can wrap them in one place.
+A spot is computed once, as a row and a column factor (``spot_factors``);
+``render_spot`` adds it to a whole frame or to a window of one with the same
+arithmetic, so a window's pixels equal the frame's bit for bit.
 
 The arithmetic is pinned, not left to NumPy's defaults: ``exp`` is libm's,
 sums run left to right from 0.0, and each product is formed in a fixed
@@ -69,53 +72,69 @@ def hg_profile(u, order):
     return h * h * _exp(-2.0 * u * u) / norm
 
 
-def render_spot(img, cx, cy, waist_px, amp, order):
-    """Add one beam spot to ``img`` in place (no clipping here).
+def spot_factors(height, width, cx, cy, waist_px, amp, order):
+    """Row and column factors of one beam spot on a ``height`` x ``width`` sensor.
 
-    The mode axis is the pixel x axis: the profile along columns is a
-    Hermite-Gaussian of ``order``, the profile along rows is the fundamental.
-    Rows whose scaled factor underflows to exactly 0 are left untouched.
+    The mode axis is the pixel x axis: the column factor is a
+    Hermite-Gaussian of ``order``, the row factor the fundamental scaled by
+    ``amp``. The spot's pixels are the products ``row[y] * col[x]``.
     """
     if waist_px <= 0.0:
         raise ValueError("waist_px must be positive")
-    height, width = img.shape
     ux = (np.arange(width, dtype=np.float64) - cx) / waist_px
     uy = (np.arange(height, dtype=np.float64) - cy) / waist_px
-    col = hg_profile(ux, order)
-    row = amp * _exp(-2.0 * uy * uy)
-    # the factor falls off monotonically either side of cy, so the rows it
-    # does not underflow to 0 form one band
+    return amp * _exp(-2.0 * uy * uy), hg_profile(ux, order)
+
+
+def render_spot(img, row, col):
+    """Add the spot ``row[:, None] * col`` to ``img`` in place (no clipping here).
+
+    ``img`` is a whole frame or a window of one, with ``row`` and ``col``
+    sliced to match. Rows whose factor is exactly 0 are left untouched.
+    """
+    # the factor falls off monotonically either side of the spot centre, so
+    # the rows it does not underflow to 0 form one band
     lit = np.flatnonzero(row)
     if lit.size == 0:
         return img
     end = lit[-1] + 1
-    step = max(1, _BAND_PIXELS // width)
+    step = max(1, _BAND_PIXELS // img.shape[1])
     for top in range(lit[0], end, step):
         bottom = min(top + step, end)
         img[top:bottom] += row[top:bottom, None] * col
     return img
 
 
-def frame_moments(img, floor):
+def frame_moments(img, floor, top=0, left=0):
     """First and second intensity moments over above-floor pixels.
+
+    ``img`` is finite (``CameraFrame`` guarantees it) and is a whole frame or
+    a window of one whose first pixel sits at row ``top``, column ``left``;
+    centroids are taken in the whole frame's pixel indices.
 
     Returns
     -------
     tuple
         ``(total, cx, cy, var_x, var_y, vmax, count)`` where centroid and
-        variances are in pixel-index coordinates, ``vmax`` is the global
-        maximum, and ``count`` the number of pixels above ``floor``.
+        variances are in pixel-index coordinates, ``vmax`` is the maximum of
+        ``img``, and ``count`` the number of pixels above ``floor``.
     """
     img = np.asarray(img, dtype=np.float64)
-    vmax = float(img.max()) if img.size else 0.0
-    mask = img > floor
-    w = img[mask]  # row-major, the order the sums run in
-    count = int(w.size)
+    idx = np.flatnonzero(img > floor)  # row-major, the order the sums run in
+    count = int(idx.size)
     if count == 0:
+        vmax = float(img.max()) if img.size else 0.0
         return (0.0, 0.0, 0.0, 0.0, 0.0, vmax, 0)
-    # pixel indices of w; cheaper than np.nonzero on a 2-D mask
-    rows = np.repeat(np.arange(img.shape[0]), np.count_nonzero(mask, axis=1))
-    cols = np.flatnonzero(mask) - rows * img.shape[1]
+    w = img.take(idx)
+    # the maximum is above the floor whenever anything is
+    vmax = float(w.max())
+    width = img.shape[1]
+    rows = idx // width
+    cols = idx - rows * width
+    # whole-frame indices before the products: adding the origin to the
+    # centroid afterwards would round differently
+    rows += top
+    cols += left
     total = _seqsum(w)
     cx = _seqsum(w * cols) / total
     cy = _seqsum(w * rows) / total

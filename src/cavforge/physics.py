@@ -98,27 +98,99 @@ class CavityState:
 
 
 class CameraFrame:
-    """Normalized intensity image; values clipped to [0, 1]."""
+    """Normalized intensity image; values clipped to [0, 1].
+
+    A frame holds an array, or (from ``render_frame``) the separable spots
+    it is the clipped sum of. A spot frame draws its pixels the first time
+    ``intensities`` is read; ``window`` draws only the part that can clear
+    a floor.
+    """
 
     def __init__(self, intensities, pixel_pitch_mm, camera_id=""):
         arr = np.asarray(intensities, dtype=np.float64)
         if arr.ndim != 2:
             raise WorkspaceError("frame must be 2-D")
-        if not np.all(np.isfinite(arr)):
-            raise WorkspaceError("frame contains non-finite values")
-        if arr.min() < 0.0 or arr.max() > 1.0 + 1e-12:
+        # NaN fails both comparisons and +-inf lies outside [0, 1], so the
+        # finiteness pass only runs to choose the message
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0 + 1e-12):
+            if not np.all(np.isfinite(arr)):
+                raise WorkspaceError("frame contains non-finite values")
             raise WorkspaceError("frame intensities must lie in [0, 1]")
-        self.intensities = arr
+        self._pixels = arr
+        self._spots = ()
+        self._shape = arr.shape
         self.pixel_pitch_mm = float(pixel_pitch_mm)
         self.camera_id = camera_id
 
+    @classmethod
+    def from_spots(cls, shape, spots, pixel_pitch_mm, camera_id=""):
+        """The frame ``clip(sum of row[:, None] * col, 0, 1)`` over the
+        ``(row, col)`` factor pairs in ``spots``, in order, drawn on demand.
+
+        Every factor must be finite and >= 0. Their products and sums are
+        then finite or +inf, which the clip maps to 1, so the frame is
+        finite and in [0, 1] without a pass over its pixels.
+        """
+        frame = cls.__new__(cls)
+        checked = []
+        for row, col in spots:
+            row_max, col_max = row.max(), col.max()
+            if not (row.min() >= 0.0 and col.min() >= 0.0
+                    and row_max < math.inf and col_max < math.inf):
+                raise WorkspaceError("frame contains non-finite values")
+            checked.append((row, col, row_max, col_max))
+        frame._pixels = None
+        frame._spots = tuple(checked)
+        frame._shape = tuple(shape)
+        frame.pixel_pitch_mm = float(pixel_pitch_mm)
+        frame.camera_id = camera_id
+        return frame
+
+    @property
+    def intensities(self):
+        if self._pixels is None:
+            self._pixels = self._draw(0, self.height, 0, self.width)
+        return self._pixels
+
     @property
     def height(self):
-        return self.intensities.shape[0]
+        return self._shape[0]
 
     @property
     def width(self):
-        return self.intensities.shape[1]
+        return self._shape[1]
+
+    def window(self, floor):
+        """``(pixels, top, left)``: the smallest rectangle holding every
+        pixel above ``floor``, and the frame row and column of its corner.
+
+        The window's pixels are drawn exactly as the whole frame draws them.
+        A frame whose pixels exist already returns all of them.
+        """
+        if self._pixels is not None:
+            return self._pixels, 0, 0
+        row_bound = np.zeros(self.height)
+        col_bound = np.zeros(self.width)
+        for row, col, row_max, col_max in self._spots:
+            # IEEE rounding is monotone and every factor is finite and >= 0,
+            # so no pixel of row y exceeds row_bound[y] and no pixel of
+            # column x exceeds col_bound[x], exactly; the clip only lowers
+            row_bound += row * col_max
+            col_bound += row_max * col
+        rows = np.flatnonzero(row_bound > floor)
+        cols = np.flatnonzero(col_bound > floor)
+        if rows.size == 0 or cols.size == 0:
+            return np.zeros((0, 0)), 0, 0
+        top, left = int(rows[0]), int(cols[0])
+        return self._draw(top, int(rows[-1]) + 1, left, int(cols[-1]) + 1), top, left
+
+    def _draw(self, top, bottom, left, right):
+        # spots add in order from 0 over the rows their factor lights, then clip
+        img = np.zeros((bottom - top, right - left), dtype=np.float64)
+        for row, col, _, _ in self._spots:
+            _kernels.render_spot(img, row[top:bottom], col[left:right])
+        np.clip(img, 0.0, 1.0, out=img)
+        return img
 
     def scaled(self, factor):
         """Frame with intensities scaled by ``factor`` (clipped to [0,1])."""
@@ -377,13 +449,14 @@ def render_frame(hits, camera: Component) -> CameraFrame:
     Spot amplitude is the hit power scaled by the camera's per-wavelength
     gain; the profile is a Hermite-Gaussian of the hit's mode order along
     the sensor x axis. Overlapping spots add, then the frame clips at 1.
+    Each spot's factors are computed here; pixels are drawn on demand.
     """
     if isinstance(hits, CameraHit):
         hits = [hits]
     width = int(camera.param("width_px"))
     height = int(camera.param("height_px"))
     pitch = float(camera.param("pixel_pitch_mm"))
-    img = np.zeros((height, width), dtype=np.float64)
+    spots = []
     for hit in hits:
         gain = float(camera.param(f"gain_{hit.wavelength}"))
         amp = gain * hit.power
@@ -391,9 +464,9 @@ def render_frame(hits, camera: Component) -> CameraFrame:
             continue
         cx = (width - 1) / 2.0 + hit.u_mm / pitch
         cy = (height - 1) / 2.0 + hit.v_mm / pitch
-        _kernels.render_spot(img, cx, cy, hit.w_mm / pitch, amp, hit.mode_order)
-    np.clip(img, 0.0, 1.0, out=img)
-    return CameraFrame(img, pitch, camera.id)
+        spots.append(_kernels.spot_factors(height, width, cx, cy, hit.w_mm / pitch,
+                                           amp, hit.mode_order))
+    return CameraFrame.from_spots((height, width), spots, pitch, camera.id)
 
 
 def cavity_response(ws: Workspace, pump_power=None, trace=None) -> CavityState:

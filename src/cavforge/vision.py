@@ -15,6 +15,8 @@ from .physics import CameraFrame
 
 DEFAULT_NOISE_FLOOR = 0.02
 DETECTION_FACTOR = 50.0
+# a pixel at or above this reads as saturated
+_SATURATED = 1.0 - 1e-9
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,13 @@ def subtract_reference(live: CameraFrame, reference: CameraFrame) -> CameraFrame
     return CameraFrame(out, live.pixel_pitch_mm, live.camera_id)
 
 
+def _moments(frame: CameraFrame, floor: float) -> tuple:
+    # only the window can hold above-floor pixels, so its moments are the
+    # frame's, bit for bit; ``vmax`` is the window's maximum
+    pixels, top, left = frame.window(floor)
+    return _kernels.frame_moments(pixels, floor, top, left)
+
+
 def centroid(frame: CameraFrame, noise_floor: float = DEFAULT_NOISE_FLOOR) -> CentroidResult:
     """Intensity-weighted centroid over above-floor pixels.
 
@@ -71,7 +80,7 @@ def centroid(frame: CameraFrame, noise_floor: float = DEFAULT_NOISE_FLOOR) -> Ce
     intensity clears ``DETECTION_FACTOR * noise_floor``, so a dark frame or
     a faint numerical tail never yields a spurious position.
     """
-    total, cx, cy, _, _, _, count = _kernels.frame_moments(frame.intensities, noise_floor)
+    total, cx, cy, _, _, _, count = _moments(frame, noise_floor)
     detected = count > 0 and total >= DETECTION_FACTOR * noise_floor
     return CentroidResult(detected=detected, x_px=cx, y_px=cy, total_intensity=total)
 
@@ -79,9 +88,11 @@ def centroid(frame: CameraFrame, noise_floor: float = DEFAULT_NOISE_FLOOR) -> Ce
 def beam_stats(frame: CameraFrame, noise_floor: float = DEFAULT_NOISE_FLOOR,
                sigma_ref_px: float | None = None) -> BeamStats:
     """Centroid, size, and beam-quality proxy of the dominant spot."""
-    total, cx, cy, var_x, var_y, vmax, count = _kernels.frame_moments(
-        frame.intensities, noise_floor)
-    saturated = vmax >= 1.0 - 1e-9
+    total, cx, cy, var_x, var_y, vmax, count = _moments(frame, noise_floor)
+    if count == 0 and not noise_floor < _SATURATED:
+        # a window with nothing above the floor need not hold the maximum
+        vmax = float(frame.intensities.max())
+    saturated = vmax >= _SATURATED
     detected = count > 0 and total >= DETECTION_FACTOR * noise_floor
     if not detected:
         return BeamStats(False, saturated, None, total, None, None)
@@ -108,16 +119,3 @@ def emission_score(stats: BeamStats, *, root: bool) -> float:
 def sensor_center_px(frame: CameraFrame) -> tuple:
     return ((frame.width - 1) / 2.0, (frame.height - 1) / 2.0)
 
-
-def pixels_to_mm(frame: CameraFrame, point_px) -> tuple:
-    """Pixel-index coordinates to mm relative to the sensor center."""
-    cx, cy = sensor_center_px(frame)
-    return ((point_px[0] - cx) * frame.pixel_pitch_mm,
-            (point_px[1] - cy) * frame.pixel_pitch_mm)
-
-
-def mm_to_pixels(frame: CameraFrame, point_mm) -> tuple:
-    """Inverse of :func:`pixels_to_mm`; exact round trip."""
-    cx, cy = sensor_center_px(frame)
-    return (point_mm[0] / frame.pixel_pitch_mm + cx,
-            point_mm[1] / frame.pixel_pitch_mm + cy)

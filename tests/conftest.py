@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from cavforge import align, physics, pipeline
+from cavforge import _kernels, align, physics, pipeline
 from cavforge.layout import default_layout, validate_layout
 from cavforge.pipeline import run_construction
 
@@ -38,3 +38,18 @@ def frames(monkeypatch):
     for module in (align, pipeline):
         monkeypatch.setattr(module, "camera_view", counted)
     return rendered
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """The shape of every array ``render_spot`` draws a spot into: a whole
+    frame, or the window of one that ``beam_stats`` and ``centroid`` read."""
+    shapes = []
+    render_spot = _kernels.render_spot
+
+    def recorded(img, row, col):
+        shapes.append(img.shape)
+        return render_spot(img, row, col)
+
+    monkeypatch.setattr(_kernels, "render_spot", recorded)
+    return shapes

@@ -86,6 +86,11 @@ def test_spatial_optimize_renders_one_frame_per_trace_entry(frames):
     assert len(frames) == len(trace)
 
 
+def test_spatial_optimize_never_draws_a_whole_frame(drawn):
+    spatial_optimize(bench([pump(y=1.7), camera("cam", 300.0)], sigma=0.05), "pump", "cam")
+    assert drawn and (480, 640) not in drawn
+
+
 def test_spatial_probe_must_exceed_placement_noise():
     ws = bench([pump(), camera("cam", 300.0)], sigma=0.4)
     with pytest.raises(WorkspaceError):
@@ -182,3 +187,11 @@ def test_optimize_mode_scores_a_dark_frame_as_positive_zero():
     assert trace.meta["knob_axes"] == [["ic", "h"], ["ic", "v"], ["oc", "h"], ["oc", "v"]]
     readings = knob_readings(out, ("ic", "oc"))
     assert readings["ic"] + readings["oc"] == trace.best_params
+
+
+@pytest.mark.parametrize("sigma_ref_px", [None, 3.0])
+def test_optimize_mode_never_draws_a_whole_frame(drawn, sigma_ref_px):
+    optimize_mode(make_cavity(tilt_oc_deg=0.01), ("ic", "oc"), "cam1",
+                  np.random.default_rng(0), max_iters=4, init_samples=3,
+                  sigma_ref_px=sigma_ref_px)
+    assert drawn and (480, 640) not in drawn

@@ -35,18 +35,19 @@ def test_hg_profile_orders_carry_equal_power(order):
 
 def test_render_spot_separable_values():
     img = np.zeros((5, 7))
-    out = _kernels.render_spot(img, 3.0, 2.0, 1.5, 0.8, 0)
+    factors = _kernels.spot_factors(5, 7, 3.0, 2.0, 1.5, 0.8, 0)
+    out = _kernels.render_spot(img, *factors)
     assert out is img
     expected = 0.8 * math.exp(-2.0 * (1.0 / 1.5) ** 2) * math.exp(-2.0 * (2.0 / 1.5) ** 2)
     assert img[0, 2] == pytest.approx(expected, rel=1e-12)
     assert img[2, 3] == pytest.approx(0.8, rel=1e-12)
-    _kernels.render_spot(img, 3.0, 2.0, 1.5, 0.8, 0)
+    _kernels.render_spot(img, *factors)
     assert img[2, 3] == pytest.approx(1.6, rel=1e-12)  # spots accumulate
 
 
 def test_render_spot_rejects_bad_waist():
     with pytest.raises(ValueError):
-        _kernels.render_spot(np.zeros((4, 4)), 1.0, 1.0, 0.0, 1.0, 0)
+        _kernels.spot_factors(4, 4, 1.0, 1.0, 0.0, 1.0, 0)
 
 
 def test_frame_moments_frozen_two_pixel_case():
@@ -137,7 +138,7 @@ def test_fallback_follows_the_compiled_loop_arithmetic(seed):
     spots = [*_random_spots(rng, 18, 24, 6),
              (10.0, 4.0, 0.4, 1.0, 2), (30.0, -12.0, 1.0, 0.7, 1)]
     for args in spots:
-        _kernels.render_spot(img_k, *args)
+        _kernels.render_spot(img_k, *_kernels.spot_factors(18, 24, *args))
         _loop_render_spot(img_loop, *args)
     np.testing.assert_array_equal(img_k, img_loop)
     for floor in (0.0, 0.01, 0.3):

@@ -12,7 +12,7 @@ from cavforge.physics import (CameraFrame, PhysicsConfig, beam_radius,
                               trace_beam)
 from cavforge.simcore import (Component, ComponentKind, Pose,
                               inject_displacement, set_knob_readings)
-from cavforge.vision import beam_stats, centroid, mm_to_pixels
+from cavforge.vision import beam_stats, centroid, sensor_center_px
 
 
 def _splitter_bench():
@@ -164,7 +164,8 @@ def test_camera_view_maps_table_offset_to_pixels():
     ws = bench([pump(y=0.5), camera("cam", 300.0, gain_pump=0.35)])
     frame = camera_view(ws, "cam")
     spot = beam_stats(frame)
-    expected = mm_to_pixels(frame, (0.5, 0.0))
+    expected = (0.5 / frame.pixel_pitch_mm + (frame.width - 1) / 2.0,
+                (frame.height - 1) / 2.0)
     assert spot.centroid_px[0] == pytest.approx(expected[0], abs=0.05)
     assert spot.centroid_px[1] == pytest.approx(expected[1], abs=0.05)
     # rendered spot size follows the propagated beam radius (the noise
@@ -251,9 +252,28 @@ def test_higher_mode_renders_wider_than_fundamental():
 
 
 def test_camera_frame_rejects_nan():
-    # min/max comparisons are all false for NaN, so only the finiteness
-    # check keeps NaN pixels away from the frame kernels
+    # NaN fails both range comparisons; the finiteness check then names
+    # the fault, so NaN pixels never reach the frame kernels
     img = np.zeros((3, 4))
     img[1, 2] = np.nan
     with pytest.raises(WorkspaceError, match="non-finite"):
         CameraFrame(img, 0.01, "cam")
+
+
+def test_a_hit_with_nan_power_fails_at_camera_view():
+    ws = bench([pump(power=float("nan")), camera("cam", 300.0)])
+    with pytest.raises(WorkspaceError, match="non-finite"):
+        camera_view(ws, "cam")
+
+
+def test_a_camera_view_draws_its_pixels_once_and_only_when_read(drawn):
+    frame = camera_view(bench([pump(y=0.5), camera("cam", 300.0)]), "cam")
+    assert (frame.height, frame.width, frame.pixel_pitch_mm) == (480, 640, 0.01)
+    assert sensor_center_px(frame) == (319.5, 239.5)
+    assert drawn == []
+    assert beam_stats(frame).detected and centroid(frame).detected
+    assert drawn and (480, 640) not in drawn  # only windows so far
+    drawn.clear()
+    pixels = frame.intensities
+    assert frame.intensities is pixels
+    assert drawn == [(480, 640)]

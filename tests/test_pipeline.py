@@ -71,6 +71,13 @@ def test_surveillance_classifies_the_bench(state):
     assert surveillance_tick(crept)["status"] == "signal_lost"
 
 
+def test_surveillance_never_draws_a_whole_frame(state, drawn):
+    assert surveillance_tick(state)["status"] == "ok"
+    state.ws = randomize_knobs(state.ws, ["ic", "oc"], 30.0, 60.0)
+    surveillance_tick(state)
+    assert drawn and (480, 640) not in drawn
+
+
 def test_surveillance_requires_a_completed_build(state):
     state.current_step = int(StepId.PLACE_BPF)
     with pytest.raises(WorkspaceError):

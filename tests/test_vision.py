@@ -2,15 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _benches import camera
 from cavforge import _kernels
 from cavforge.errors import WorkspaceError
-from cavforge.physics import CameraFrame
+from cavforge.physics import CameraFrame, CameraHit, render_frame
 from cavforge.vision import (DETECTION_FACTOR, BeamStats, beam_stats,
                              centroid, emission_score, log_transform,
-                             mm_to_pixels, pixels_to_mm, sensor_center_px,
                              subtract_reference)
 
 
@@ -20,7 +20,8 @@ def _frame(values):
 
 def _rendered(order, waist_px=40.0, amp=0.9):
     img = np.zeros((480, 640))
-    _kernels.render_spot(img, 319.5, 239.5, waist_px, amp, order)
+    _kernels.render_spot(img, *_kernels.spot_factors(480, 640, 319.5, 239.5,
+                                                     waist_px, amp, order))
     return CameraFrame(img, 0.01, "cam")
 
 
@@ -105,16 +106,6 @@ def test_beam_stats_rejects_bad_reference_width():
         beam_stats(_rendered(0), sigma_ref_px=0.0)
 
 
-def test_pixel_mm_round_trip_is_exact():
-    frame = _rendered(0)
-    assert sensor_center_px(frame) == (319.5, 239.5)
-    for point in [(0.0, 0.0), (1.25, -0.75), (-3.2, 2.4)]:
-        back = pixels_to_mm(frame, mm_to_pixels(frame, point))
-        assert back[0] == pytest.approx(point[0], abs=1e-12)
-        assert back[1] == pytest.approx(point[1], abs=1e-12)
-    assert pixels_to_mm(frame, (319.5, 239.5)) == (0.0, 0.0)
-
-
 def test_emission_score_forms_and_missing_reference():
     lit = BeamStats(True, False, (1.0, 2.0), 16.0, (3.0, 3.0), 2.0)
     assert emission_score(lit, root=True) == 2.0  # sqrt(16) / 2
@@ -127,3 +118,33 @@ def test_emission_score_forms_and_missing_reference():
     assert emission_score(dark, root=True) == 0.0
     assert emission_score(dark, root=False) == 0.0
 
+
+
+# one spot: centre offset from the sensor centre in frame sizes (up to two
+# frames past the edge, or close to the centre so that spots overlap), waist
+# in pixels, power (above 1 the clip bites), mode order
+_near = st.sampled_from([0.0, 0.02, -0.05])
+_spots = st.lists(st.tuples(st.one_of(_near, st.floats(-2.5, 2.5)),
+                            st.one_of(_near, st.floats(-2.5, 2.5)),
+                            st.floats(0.3, 30.0), st.floats(0.0, 3.0),
+                            st.integers(0, 5)), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 50), _spots,
+       st.sampled_from([0.0, 0.02, 0.3, 1.0 - 1e-9, 1.0]),
+       st.one_of(st.none(), st.floats(0.5, 20.0)))
+# a peak of exactly 1 on a pixel and a floor of 1: nothing clears the floor,
+# the window is empty, and only the drawn frame knows the spot saturates
+@example(5, 7, [(0.0, 0.0, 2.0, 1.0, 0)], 1.0, None)
+def test_window_moments_equal_the_drawn_frame_bit_for_bit(height, width, spots,
+                                                          floor, sigma_ref_px):
+    cam, _ = camera("cam", 0.0, width_px=width, height_px=height)
+    pitch = cam.param("pixel_pitch_mm")
+    hits = [CameraHit("cam", fx * width * pitch, fy * height * pitch,
+                      waist_px * pitch, power, "pump", 0, mode_order=order)
+            for fx, fy, waist_px, power, order in spots]
+    drawn = CameraFrame(render_frame(hits, cam).intensities.copy(), pitch, "cam")
+    assert repr(beam_stats(render_frame(hits, cam), floor, sigma_ref_px)) == \
+        repr(beam_stats(drawn, floor, sigma_ref_px))
+    assert repr(centroid(render_frame(hits, cam), floor)) == repr(centroid(drawn, floor))
