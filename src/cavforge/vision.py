@@ -118,4 +118,3 @@ def emission_score(stats: BeamStats, *, root: bool) -> float:
 
 def sensor_center_px(frame: CameraFrame) -> tuple:
     return ((frame.width - 1) / 2.0, (frame.height - 1) / 2.0)
-
