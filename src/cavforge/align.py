@@ -100,14 +100,14 @@ class OptTrace:
 # Newton placement correction
 
 
-def newton_correction(reading, probe, response, response_min=_MIN_RESPONSE):
+def newton_correction(reading, probe, response):
     """Move that zeroes an affine signal after a probe of size ``probe``.
 
     ``reading`` is the signal before the probe, ``response`` the change the
     probe caused. The returned move applies from the probed position, so for
     a truly affine signal one probe plus this correction lands on zero.
     """
-    if abs(response) < response_min:
+    if abs(response) < _MIN_RESPONSE:
         raise DegenerateResponseError(
             f"probe of {probe} changed the signal by only {response}")
     return -probe * (reading + response) / response

@@ -37,6 +37,11 @@ _RECORD_FIELDS = {
     "housing_offset_mm", "params",
 }
 _PHYSICS_FIELDS = {f.name for f in fields(PhysicsConfig)}
+# Physics fields the beam and lasing models divide by.
+_POSITIVE_PHYSICS = {
+    "pump_wavelength_mm", "laser_wavelength_mm", "pump_waist_mm",
+    "laser_waist_mm", "ref_tilt_deg", "ref_lens_offset_mm", "ref_crystal_deg",
+}
 
 
 @dataclass(frozen=True)
@@ -224,6 +229,8 @@ def _validate_physics(raw) -> PhysicsConfig:
         elif name == "max_bounces":
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise LayoutError(f"{where} must be an integer >= 0, got {value!r}")
+        elif name in _POSITIVE_PHYSICS:
+            _require_number(value, where, minimum=0.0, allow_equal=False)
         else:
             _require_number(value, where)
         values[name] = value
@@ -231,6 +238,9 @@ def _validate_physics(raw) -> PhysicsConfig:
 
 
 def _validate_params(kind: ComponentKind, params: dict, where: str):
+    if kind == ComponentKind.PUMP_SOURCE and "waist_mm" in params:
+        _require_number(params["waist_mm"], f"{where}.waist_mm",
+                        minimum=0.0, allow_equal=False)
     if kind == ComponentKind.LENS:
         if "focal_length_mm" not in params:
             raise LayoutError(f"{where}: lens needs focal_length_mm")

@@ -44,7 +44,7 @@ from .layout import (
     validate_component,
     validate_layout,
 )
-from .physics import camera_view, cavity_response
+from .physics import camera_view, cavity_response, trace_beam
 from .simcore import (
     ComponentKind,
     Pose,
@@ -184,17 +184,20 @@ class PipelineState:
 
 @dataclasses.dataclass(frozen=True)
 class _Roles:
-    pump: str | None
-    ndf: str | None
-    bs: str | None
-    bb: str | None
-    lens: str | None
-    ic: str | None
-    oc: str | None
-    crystal: str | None
-    bpf: str | None
-    cam_main: str | None
-    cam_arm: str | None
+    """Id of the component in each bench role. Each field's ``name`` is how a
+    missing-component error refers to the role."""
+
+    pump: str | None = dataclasses.field(metadata={"name": "pump source"})
+    ndf: str | None = dataclasses.field(metadata={"name": "neutral-density filter"})
+    bs: str | None = dataclasses.field(metadata={"name": "beam splitter"})
+    bb: str | None = dataclasses.field(metadata={"name": "beam block"})
+    lens: str | None = dataclasses.field(metadata={"name": "pump lens"})
+    ic: str | None = dataclasses.field(metadata={"name": "input mirror"})
+    oc: str | None = dataclasses.field(metadata={"name": "output mirror"})
+    crystal: str | None = dataclasses.field(metadata={"name": "gain crystal"})
+    bpf: str | None = dataclasses.field(metadata={"name": "line filter"})
+    cam_main: str | None = dataclasses.field(metadata={"name": "main-axis camera"})
+    cam_arm: str | None = dataclasses.field(metadata={"name": "side-arm camera"})
 
 
 def resolve_roles(layout: Layout) -> _Roles:
@@ -233,16 +236,75 @@ def resolve_roles(layout: Layout) -> _Roles:
     )
 
 
-def _need(component_id, what) -> str:
-    if component_id is None:
-        raise MissingComponentError(f"layout declares no {what}")
-    return component_id
+def _need(roles: _Roles, *names: str) -> list[str]:
+    """The ids of the named roles, in order; the first one missing raises."""
+    what = {f.name: f.metadata["name"] for f in dataclasses.fields(roles)}
+    ids = [getattr(roles, name) for name in names]
+    for name, component_id in zip(names, ids):
+        if component_id is None:
+            raise MissingComponentError(f"layout declares no {what[name]}")
+    return ids
 
 
-def _station(layout: Layout, component_id: str, fit=None) -> Pose:
-    rec = layout.record(component_id)
+# ---------------------------------------------------------------------------
+# Construction stages
+
+
+def _place(state: PipelineState, step, component_id: str, fit=None) -> None:
+    """Move a part to its layout station; with ``fit``, onto the surveyed
+    beam line at the station's x."""
+    rec = state.layout.record(component_id)
     y = fit.y_at(rec.x) if fit is not None else rec.y
-    return Pose(rec.x, y, rec.z, rec.yaw)
+    state.ws = move_component(state.ws, component_id, Pose(rec.x, y, rec.z, rec.yaw))
+    state.log_event(step, f"station {component_id}")
+
+
+def _center(state: PipelineState, step, part: str, camera_id: str, cfg,
+            stalled: str, target_px=None) -> None:
+    """Slide ``part`` until its spot on the camera sits on the target; the
+    format string ``stalled`` may use ``part``, ``camera`` and ``error_mm``."""
+    state.ws, trace = spatial_optimize(state.ws, part, camera_id,
+                                       target_px=target_px, cfg=cfg)
+    state.log_event(step, f"spatial optimize {part}", trace.summary())
+    if not trace.converged:
+        raise ConstructionError(step, stalled.format(
+            part=part, camera=camera_id, error_mm=trace.meta["final_error_mm"]))
+
+
+def _capture_reference(state: PipelineState, step, camera_id: str) -> None:
+    frame = camera_view(state.ws, camera_id)
+    stats = beam_stats(frame)
+    if stats.saturated:
+        raise SaturationError(f"reference frame on {camera_id} is saturated")
+    if not stats.detected:
+        raise BeamLostError(f"reference frame on {camera_id} shows no spot")
+    state.reference_frames[camera_id] = frame
+    state.log_event(step, f"reference {camera_id}", {
+        "total_intensity": stats.total_intensity,
+        "centroid_px": stats.centroid_px,
+    })
+
+
+def _align_retro(state: PipelineState, step, rng, mirror: str, camera_id: str,
+                 radius_px: float, reference_scale=None) -> None:
+    """Walk the mirror's reflection onto the camera's stored reference spot."""
+    reference = state.reference_frames.get(camera_id)
+    if reference is None:
+        raise WorkspaceError(f"no reference frame stored for {camera_id}")
+    state.ws, trace = align_resonator(
+        state.ws, mirror, camera_id, reference, rng,
+        cfg=AngularOptConfig(success_radius_px=radius_px),
+        reference_scale=reference_scale)
+    state.log_event(step, f"angular optimize {mirror}", trace.summary())
+    if not trace.converged:
+        raise ConstructionError(
+            step, f"{mirror} reflection never reached {radius_px:.0f} px "
+            "of the reference spot")
+
+
+def _expect_dark(state: PipelineState, step, camera_id: str, why: str) -> None:
+    if centroid(camera_view(state.ws, camera_id)).detected:
+        raise ConstructionError(step, why)
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +325,9 @@ def _step_scatter(state: PipelineState, step, rng, ctx) -> None:
 
 
 def _step_cams_ndf(state: PipelineState, step, rng, ctx) -> None:
-    layout, roles = state.layout, ctx["roles"]
-    cam_main = _need(roles.cam_main, "main-axis camera")
-    cam_arm = _need(roles.cam_arm, "side-arm camera")
-    ndf = _need(roles.ndf, "neutral-density filter")
-    state.ws = move_component(state.ws, cam_main, _station(layout, cam_main))
-    state.log_event(step, f"station {cam_main}")
-    state.ws = move_component(state.ws, ndf, _station(layout, ndf))
-    state.log_event(step, f"station {ndf}")
+    cam_main, cam_arm, ndf = _need(ctx["roles"], "cam_main", "cam_arm", "ndf")
+    _place(state, step, cam_main)
+    _place(state, step, ndf)
     stats = beam_stats(camera_view(state.ws, cam_main))
     if stats.saturated:
         raise SaturationError(
@@ -286,157 +343,84 @@ def _step_cams_ndf(state: PipelineState, step, rng, ctx) -> None:
         "rms_residual_mm": fit.rms_residual,
         "points": fit.points,
     })
-    state.ws = move_component(state.ws, cam_arm, _station(layout, cam_arm))
-    state.log_event(step, f"station {cam_arm}")
+    _place(state, step, cam_arm)
 
 
 def _step_place_oc(state: PipelineState, step, rng, ctx) -> None:
-    layout, roles = state.layout, ctx["roles"]
-    cam_main = _need(roles.cam_main, "main-axis camera")
-    oc = _need(roles.oc, "output mirror")
+    cam_main, oc = _need(ctx["roles"], "cam_main", "oc")
     spot = centroid(camera_view(state.ws, cam_main))
     if not spot.detected:
         raise BeamLostError(f"no reference spot on {cam_main}")
-    state.ws = move_component(state.ws, oc, _station(layout, oc, ctx["fit"]))
-    state.log_event(step, f"station {oc}")
-    state.ws, trace = spatial_optimize(
-        state.ws, oc, cam_main, target_px=(spot.x_px, spot.y_px),
-        cfg=SpatialOptConfig(tolerance_mm=layout.physics.pump_waist_mm))
-    state.log_event(step, f"spatial optimize {oc}", trace.summary())
-    if not trace.converged:
-        raise ConstructionError(
-            step, f"{oc} spatial stage stalled at "
-            f"{trace.meta['final_error_mm']:.3f} mm from the reference spot")
+    _place(state, step, oc, ctx["fit"])
+    _center(state, step, oc, cam_main,
+            SpatialOptConfig(tolerance_mm=state.layout.physics.pump_waist_mm),
+            "{part} spatial stage stalled at {error_mm:.3f} mm from the reference spot",
+            target_px=(spot.x_px, spot.y_px))
 
 
 def _step_place_bb(state: PipelineState, step, rng, ctx) -> None:
-    layout, roles = state.layout, ctx["roles"]
-    bb = _need(roles.bb, "beam block")
-    cam_main = _need(roles.cam_main, "main-axis camera")
-    state.ws = move_component(state.ws, bb, _station(layout, bb, ctx["fit"]))
-    state.log_event(step, f"station {bb}")
-    if centroid(camera_view(state.ws, cam_main)).detected:
-        raise ConstructionError(
-            step, f"{bb} is in place but {cam_main} still sees the beam")
+    bb, cam_main = _need(ctx["roles"], "bb", "cam_main")
+    _place(state, step, bb, ctx["fit"])
+    _expect_dark(state, step, cam_main,
+                 f"{bb} is in place but {cam_main} still sees the beam")
 
 
 def _step_bs_reference(state: PipelineState, step, rng, ctx) -> None:
-    layout, roles = state.layout, ctx["roles"]
-    bs = _need(roles.bs, "beam splitter")
-    cam_arm = _need(roles.cam_arm, "side-arm camera")
-    state.ws = move_component(state.ws, bs, _station(layout, bs, ctx["fit"]))
-    state.log_event(step, f"station {bs}")
+    bs, cam_arm = _need(ctx["roles"], "bs", "cam_arm")
+    _place(state, step, bs, ctx["fit"])
     arm = state.ws.component(cam_arm)
     tolerance = (_BS_WIDTH_FRACTION * int(arm.param("width_px"))
                  * float(arm.param("pixel_pitch_mm")))
-    state.ws, trace = spatial_optimize(
-        state.ws, bs, cam_arm, cfg=SpatialOptConfig(tolerance_mm=tolerance))
-    state.log_event(step, f"spatial optimize {bs}", trace.summary())
-    if not trace.converged:
-        raise ConstructionError(
-            step, f"{bs} could not bring the pick-off near the {cam_arm} center")
-    _, stats = _capture_reference(state, cam_arm)
-    state.log_event(step, f"reference {cam_arm}", {
-        "total_intensity": stats.total_intensity,
-        "centroid_px": stats.centroid_px,
-    })
+    _center(state, step, bs, cam_arm, SpatialOptConfig(tolerance_mm=tolerance),
+            "{part} could not bring the pick-off near the {camera} center")
+    _capture_reference(state, step, cam_arm)
 
 
 def _step_align_oc(state: PipelineState, step, rng, ctx) -> None:
-    roles = ctx["roles"]
-    bb = _need(roles.bb, "beam block")
-    oc = _need(roles.oc, "output mirror")
-    cam_arm = _need(roles.cam_arm, "side-arm camera")
+    bb, oc, cam_arm = _need(ctx["roles"], "bb", "oc", "cam_arm")
     state.ws = park_component(state.ws, bb)
     state.log_event(step, f"park {bb}")
-    reference = state.reference_frames.get(cam_arm)
-    if reference is None:
-        raise WorkspaceError(f"no reference frame stored for {cam_arm}")
-    state.ws, trace = align_resonator(
-        state.ws, oc, cam_arm, reference, rng,
-        cfg=AngularOptConfig(success_radius_px=_OC_RADIUS_PX))
-    state.log_event(step, f"angular optimize {oc}", trace.summary())
-    if not trace.converged:
-        raise ConstructionError(
-            step, f"{oc} reflection never reached {_OC_RADIUS_PX:.0f} px "
-            "of the reference spot")
+    _align_retro(state, step, rng, oc, cam_arm, _OC_RADIUS_PX)
 
 
 def _step_place_lens(state: PipelineState, step, rng, ctx) -> None:
-    layout, roles = state.layout, ctx["roles"]
-    bs = _need(roles.bs, "beam splitter")
-    lens = _need(roles.lens, "pump lens")
-    cam_main = _need(roles.cam_main, "main-axis camera")
+    bs, lens, cam_main = _need(ctx["roles"], "bs", "lens", "cam_main")
     state.ws = park_component(state.ws, bs)
     state.log_event(step, f"park {bs}")
     spot = centroid(camera_view(state.ws, cam_main))
     if not spot.detected:
         raise BeamLostError(f"no spot on {cam_main} after removing {bs}")
-    state.ws = move_component(state.ws, lens, _station(layout, lens, ctx["fit"]))
-    state.log_event(step, f"station {lens}")
-    state.ws, trace = spatial_optimize(
-        state.ws, lens, cam_main, target_px=(spot.x_px, spot.y_px),
-        cfg=SpatialOptConfig(tolerance_mm=LENS_TOLERANCE_MM,
-                             max_iters=LENS_MAX_ITERS))
-    state.log_event(step, f"spatial optimize {lens}", trace.summary())
-    if not trace.converged:
-        raise ConstructionError(
-            step, f"{lens} spatial stage stalled at "
-            f"{trace.meta['final_error_mm']:.3f} mm from the pump axis")
-    _, stats = _capture_reference(state, cam_main)
-    state.log_event(step, f"reference {cam_main}", {
-        "total_intensity": stats.total_intensity,
-        "centroid_px": stats.centroid_px,
-    })
+    _place(state, step, lens, ctx["fit"])
+    _center(state, step, lens, cam_main,
+            SpatialOptConfig(tolerance_mm=LENS_TOLERANCE_MM, max_iters=LENS_MAX_ITERS),
+            "{part} spatial stage stalled at {error_mm:.3f} mm from the pump axis",
+            target_px=(spot.x_px, spot.y_px))
+    _capture_reference(state, step, cam_main)
 
 
 def _step_place_ic(state: PipelineState, step, rng, ctx) -> None:
-    layout, roles = state.layout, ctx["roles"]
-    ic = _need(roles.ic, "input mirror")
-    state.ws = move_component(state.ws, ic, _station(layout, ic, ctx["fit"]))
-    state.log_event(step, f"station {ic}")
+    [ic] = _need(ctx["roles"], "ic")
+    _place(state, step, ic, ctx["fit"])
 
 
 def _step_align_ic(state: PipelineState, step, rng, ctx) -> None:
-    roles = ctx["roles"]
-    ic = _need(roles.ic, "input mirror")
-    cam_main = _need(roles.cam_main, "main-axis camera")
-    reference = state.reference_frames.get(cam_main)
-    if reference is None:
-        raise WorkspaceError(f"no reference frame stored for {cam_main}")
+    ic, cam_main = _need(ctx["roles"], "ic", "cam_main")
     transmission = float(state.ws.component(ic).param("pump_transmission"))
-    state.ws, trace = align_resonator(
-        state.ws, ic, cam_main, reference, rng,
-        cfg=AngularOptConfig(success_radius_px=_IC_RADIUS_PX),
-        reference_scale=transmission)
-    state.log_event(step, f"angular optimize {ic}", trace.summary())
-    if not trace.converged:
-        raise ConstructionError(
-            step, f"{ic} reflection never reached {_IC_RADIUS_PX:.0f} px "
-            "of the reference spot")
+    _align_retro(state, step, rng, ic, cam_main, _IC_RADIUS_PX,
+                 reference_scale=transmission)
 
 
 def _step_place_bpf(state: PipelineState, step, rng, ctx) -> None:
-    layout, roles = state.layout, ctx["roles"]
-    bpf = _need(roles.bpf, "line filter")
-    cam_main = _need(roles.cam_main, "main-axis camera")
-    state.ws = move_component(state.ws, bpf, _station(layout, bpf, ctx["fit"]))
-    state.log_event(step, f"station {bpf}")
-    if centroid(camera_view(state.ws, cam_main)).detected:
-        raise ConstructionError(
-            step, f"{bpf} passes pump light; {cam_main} should be dark until "
-            "the crystal emits")
+    bpf, cam_main = _need(ctx["roles"], "bpf", "cam_main")
+    _place(state, step, bpf, ctx["fit"])
+    _expect_dark(state, step, cam_main,
+                 f"{bpf} passes pump light; {cam_main} should be dark until "
+                 "the crystal emits")
 
 
 def _step_place_crystal(state: PipelineState, step, rng, ctx) -> None:
-    layout, roles = state.layout, ctx["roles"]
-    crystal = _need(roles.crystal, "gain crystal")
-    ic = _need(roles.ic, "input mirror")
-    oc = _need(roles.oc, "output mirror")
-    cam_main = _need(roles.cam_main, "main-axis camera")
-    state.ws = move_component(state.ws, crystal,
-                              _station(layout, crystal, ctx["fit"]))
-    state.log_event(step, f"station {crystal}")
+    crystal, ic, oc, cam_main = _need(ctx["roles"], "crystal", "ic", "oc", "cam_main")
+    _place(state, step, crystal, ctx["fit"])
     state.ws, theta, sweep = crystal_sweep(state.ws, crystal, cam_main)
     state.log_event(step, f"sweep {crystal}", {
         "theta_deg": theta, "evaluations": len(sweep)})
@@ -465,9 +449,7 @@ def _step_place_crystal(state: PipelineState, step, rng, ctx) -> None:
 
 
 def _step_verify_lasing(state: PipelineState, step, rng, ctx) -> None:
-    roles = ctx["roles"]
-    cam_main = _need(roles.cam_main, "main-axis camera")
-    pump_id = _need(roles.pump, "pump source")
+    cam_main, pump_id = _need(ctx["roles"], "cam_main", "pump")
     operating = float(state.ws.component(pump_id).param("power"))
     curve = measure_power_curve(state.ws, np.linspace(0.0, operating, 11))
     cav = cavity_response(state.ws)
@@ -499,17 +481,6 @@ def _step_verify_lasing(state: PipelineState, step, rng, ctx) -> None:
         "output_power": cav.output_power,
         "mode_order": cav.mode_order,
     })
-
-
-def _capture_reference(state: PipelineState, camera_id: str):
-    frame = camera_view(state.ws, camera_id)
-    stats = beam_stats(frame)
-    if stats.saturated:
-        raise SaturationError(f"reference frame on {camera_id} is saturated")
-    if not stats.detected:
-        raise BeamLostError(f"reference frame on {camera_id} shows no spot")
-    state.reference_frames[camera_id] = frame
-    return frame, stats
 
 
 _STEPS = (
@@ -578,9 +549,11 @@ def measure_power_curve(ws: Workspace, pump_powers) -> PowerCurveFit:
     points determine a line whose x-intercept estimates the threshold.
     Raises :class:`NoLasingError` when fewer than two sweep points lase.
     """
+    # The trace does not depend on the pump power.
+    trace = trace_beam(ws)
     points = []
     for p in pump_powers:
-        cav = cavity_response(ws, pump_power=float(p))
+        cav = cavity_response(ws, pump_power=float(p), trace=trace)
         points.append((float(p), float(cav.output_power)))
     lasing = np.asarray([pt for pt in points if pt[1] > 0.0])
     if len(lasing) < 2:
@@ -622,8 +595,8 @@ def _require_complete(state: PipelineState) -> None:
 
 
 def _objective_ratio(state: PipelineState) -> float:
-    roles = resolve_roles(state.layout)
-    frame = camera_view(state.ws, _need(roles.cam_main, "main-axis camera"))
+    [cam_main] = _need(resolve_roles(state.layout), "cam_main")
+    frame = camera_view(state.ws, cam_main)
     stats = beam_stats(frame, sigma_ref_px=state.baseline["sigma_px"])
     return float(emission_score(stats, root=False) / state.baseline["objective"])
 
@@ -714,10 +687,7 @@ def recover_drift(state: PipelineState, rng=None,
     _require_complete(state)
     if max_iters < 1:
         raise WorkspaceError("max_iters must be at least 1")
-    roles = resolve_roles(state.layout)
-    ic = _need(roles.ic, "input mirror")
-    oc = _need(roles.oc, "output mirror")
-    cam_main = _need(roles.cam_main, "main-axis camera")
+    ic, oc, cam_main = _need(resolve_roles(state.layout), "ic", "oc", "cam_main")
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(
             [state.seed, _DRIFT_STREAM, state.ws.action_count]))
@@ -737,8 +707,8 @@ def recover_drift(state: PipelineState, rng=None,
     best_cost = math.inf
     best_pairs = knob_readings(state.ws, mirrors)
     summaries = []
-    for i, (span, iters, init, scale) in enumerate(rounds):
-        budget = max_iters - used if i == len(rounds) - 1 else min(iters, max_iters - used)
+    for span, iters, init, scale in rounds:
+        budget = min(iters, max_iters - used)
         if budget < 1:
             break
         # No reference width: the score is the total intensity.

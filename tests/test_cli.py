@@ -79,6 +79,19 @@ def test_invalid_layout_value_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_zero_widths_and_wavelengths_exit_2(tmp_path, capsys):
+    # Each of these divides the beam or lasing model by zero if it gets past
+    # validation.
+    for override in ("components.pump.params.waist_mm=0",
+                     "physics.pump_wavelength_mm=0", "physics.laser_wavelength_mm=0",
+                     "physics.laser_waist_mm=0", "physics.ref_tilt_deg=0",
+                     "physics.ref_lens_offset_mm=0", "physics.ref_crystal_deg=0"):
+        code, _ = _run(["build", "--out", str(tmp_path), "--set", override])
+        err = capsys.readouterr().err
+        assert code == 2, override
+        assert "error:" in err and "Traceback" not in err, override
+
+
 def test_failed_build_exits_1_and_keeps_diagnostics(tmp_path, capsys):
     # without its attenuator the pump saturates the reference camera
     code, _ = _run(["build", "--out", str(tmp_path),

@@ -35,6 +35,13 @@ def test_default_layout_validates():
     (lambda d: d["physics"].update(p_threshold="x"), "physics.p_threshold"),
     (lambda d: d["physics"].update(mode_band_edges=3), "physics.mode_band_edges"),
     (lambda d: d["physics"].update(max_bounces=1.5), "physics.max_bounces"),
+    (lambda d: d["physics"].update(pump_wavelength_mm=0), "physics.pump_wavelength_mm"),
+    (lambda d: d["physics"].update(laser_wavelength_mm=0), "physics.laser_wavelength_mm"),
+    (lambda d: d["physics"].update(pump_waist_mm=0), "physics.pump_waist_mm"),
+    (lambda d: d["physics"].update(laser_waist_mm=0), "physics.laser_waist_mm"),
+    (lambda d: d["physics"].update(ref_tilt_deg=0), "physics.ref_tilt_deg"),
+    (lambda d: d["physics"].update(ref_lens_offset_mm=0), "physics.ref_lens_offset_mm"),
+    (lambda d: d["physics"].update(ref_crystal_deg=0), "physics.ref_crystal_deg"),
     (lambda d: d.update(components=[]), "non-empty list"),
 ])
 def test_top_level_validation(mutate, message):
@@ -75,6 +82,10 @@ def _component(data, cid):
      "gain_pump must be a finite number"),
     (lambda d: _component(d, "pump").update(nominal_x_mm=float("nan")),
      "finite number"),
+    (lambda d: _component(d, "pump")["params"].update(waist_mm=0),
+     "waist_mm must be > 0"),
+    (lambda d: _component(d, "pump")["params"].update(waist_mm=-0.3),
+     "waist_mm must be > 0.0"),
 ])
 def test_component_validation(mutate, message):
     data = _valid()

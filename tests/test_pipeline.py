@@ -165,14 +165,27 @@ def test_construction_renders_each_bench_state_once(layout, frames):
     assert len(frames) == 103
 
 
-def test_construction_error_carries_the_failing_step(layout):
+@pytest.mark.parametrize("removed, step, role", [
+    ("ndf", StepId.PLACE_CAMS_NDF, "neutral-density filter"),
+    ("cam1", StepId.PLACE_CAMS_NDF, "main-axis camera"),
+    ("cam2", StepId.PLACE_CAMS_NDF, "side-arm camera"),
+    ("oc", StepId.PLACE_OC_SPATIAL_OPT, "output mirror"),
+    ("bb", StepId.PLACE_BB, "beam block"),
+    ("bs", StepId.PLACE_BS_REFERENCE, "beam splitter"),
+    ("lens", StepId.REMOVE_BS_PLACE_LENS_SPATIAL_OPT, "pump lens"),
+    ("ic", StepId.PLACE_IC, "input mirror"),
+    ("bpf", StepId.PLACE_BPF, "line filter"),
+    ("crystal", StepId.PLACE_CRYSTAL, "gain crystal"),
+])
+def test_construction_error_carries_the_failing_step(layout, removed, step, role):
     raw = copy.deepcopy(layout.raw)
-    raw["components"] = [c for c in raw["components"] if c["id"] != "bpf"]
+    raw["components"] = [c for c in raw["components"] if c["id"] != removed]
     with pytest.raises(ConstructionError) as err:
         run_construction(validate_layout(raw), 42)
-    assert err.value.step == StepId.PLACE_BPF
+    assert err.value.step == step
+    assert f"layout declares no {role}" in str(err.value)
     assert err.value.log  # diagnostics include the progress so far
-    assert err.value.state.current_step == int(StepId.PLACE_BPF) - 1
+    assert err.value.state.current_step == int(step) - 1
 
 
 def test_construction_succeeds_without_placement_noise():
