@@ -11,37 +11,33 @@ from __future__ import annotations
 
 import copy
 import json
-import math
+import sys
 from dataclasses import dataclass, field, fields, replace
+from typing import get_type_hints
 
 from .errors import LayoutError
 from .physics import PhysicsConfig
-from .simcore import (
-    COMPONENT_PARAMS,
-    Component,
-    ComponentKind,
-    KnobPair,
-    Pose,
-    Workspace,
-    rng_state_from_seed,
-)
+from .simcore import (ANY, COMPONENT_PARAMS, DEFAULT_TABLE_BOUNDS, NONNEGATIVE, POSITIVE,
+                      Component, ComponentKind, KnobPair, Pose, Workspace,
+                      rng_state_from_seed)
 
 SCHEMA_VERSION = 1
 
-_TOP_FIELDS = {
-    "schema_version", "seed", "placement_noise_sigma_mm", "tilt_per_turn_deg",
-    "table_bounds_mm", "physics", "components",
+# The scalar top-level settings: type, the value a layout that omits one
+# reads (simcore's default), and the values allowed.
+_SETTINGS = {
+    "seed": (int, 0, NONNEGATIVE),
+    "placement_noise_sigma_mm": (float, Workspace.placement_noise_sigma, NONNEGATIVE),
+    "tilt_per_turn_deg": (float, KnobPair.tilt_per_turn_deg, POSITIVE),
 }
+_TOP_FIELDS = {"schema_version", *_SETTINGS, "table_bounds_mm", "physics", "components"}
 _RECORD_FIELDS = {
     "id", "kind", "nominal_x_mm", "nominal_y_mm", "nominal_z_mm", "yaw_deg",
     "housing_offset_mm", "params",
 }
-_PHYSICS_FIELDS = {f.name for f in fields(PhysicsConfig)}
-# Physics fields the beam and lasing models divide by.
-_POSITIVE_PHYSICS = {
-    "pump_wavelength_mm", "laser_wavelength_mm", "pump_waist_mm",
-    "laser_waist_mm", "ref_tilt_deg", "ref_lens_offset_mm", "ref_crystal_deg",
-}
+# Each physics field's type and the values a layout may override it with.
+_PHYSICS_FIELDS = {f.name: (get_type_hints(PhysicsConfig)[f.name], f.metadata["allowed"])
+                   for f in fields(PhysicsConfig)}
 
 
 @dataclass(frozen=True)
@@ -94,15 +90,39 @@ class Layout:
         )
 
 
-def _require_number(value, where, minimum=None, maximum=None, allow_equal=True):
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+def _require_number(value, where, allowed=ANY) -> float:
+    # The comparison fails for NaN, infinities and ints too large for a float.
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
         raise LayoutError(f"{where} must be a finite number, got {value!r}")
-    v = float(value)
-    if minimum is not None and (v < minimum or (not allow_equal and v == minimum)):
-        raise LayoutError(f"{where} must be {'>' if not allow_equal else '>='} {minimum}")
-    if maximum is not None and v > maximum:
-        raise LayoutError(f"{where} must be <= {maximum}")
-    return v
+    bound = allowed.violation(value)
+    if bound is not None:
+        raise LayoutError(f"{where} must be {bound}")
+    return float(value)
+
+
+def _check(value, kind, allowed, where):
+    """Raise LayoutError unless ``value`` is a ``kind`` that ``allowed`` admits.
+
+    ``float`` takes any finite number and ``int`` an integer, inside the
+    Interval ``allowed``; ``tuple`` takes an increasing list of such numbers;
+    ``str`` takes one of the ``allowed`` strings, or any string if None.
+    """
+    if kind is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise LayoutError(f"{where} must be a list of numbers")
+        items = [_require_number(v, where, allowed) for v in value]
+        if any(a >= b for a, b in zip(items, items[1:])):
+            raise LayoutError(f"{where} must be increasing")
+    elif kind is float:
+        _require_number(value, where, allowed)
+    elif not isinstance(value, kind) or isinstance(value, bool):
+        name = "an integer" if kind is int else "a string"
+        raise LayoutError(f"{where} must be {name}, got {value!r}")
+    elif kind is int:
+        _require_number(value, where, allowed)
+    elif allowed is not None and value not in allowed:
+        raise LayoutError(f"{where} must be one of {list(allowed)}, got {value!r}")
 
 
 def validate_layout(data: dict) -> Layout:
@@ -118,21 +138,17 @@ def validate_layout(data: dict) -> Layout:
         raise LayoutError(f"unknown layout fields: {sorted(unknown)}")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise LayoutError(f"schema_version must be {SCHEMA_VERSION}")
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise LayoutError("seed must be an integer")
-    sigma = _require_number(data.get("placement_noise_sigma_mm", 0.1),
-                            "placement_noise_sigma_mm", minimum=0.0)
-    tpt = _require_number(data.get("tilt_per_turn_deg", 0.5),
-                          "tilt_per_turn_deg", minimum=0.0, allow_equal=False)
-    bounds_raw = data.get("table_bounds_mm", [[-50.0, 800.0], [-250.0, 250.0]])
+    settings = {}
+    for name, (kind, default, allowed) in _SETTINGS.items():
+        settings[name] = data.get(name, default)
+        _check(settings[name], kind, allowed, name)
     try:
-        (xmin, xmax), (ymin, ymax) = bounds_raw
-        bounds = ((float(xmin), float(xmax)), (float(ymin), float(ymax)))
+        (xmin, xmax), (ymin, ymax) = data.get("table_bounds_mm", DEFAULT_TABLE_BOUNDS)
     except (TypeError, ValueError) as exc:
         raise LayoutError("table_bounds_mm must be [[xmin,xmax],[ymin,ymax]]") from exc
-    if bounds[0][0] >= bounds[0][1] or bounds[1][0] >= bounds[1][1]:
-        raise LayoutError("table bounds must be increasing intervals")
+    bounds = ((xmin, xmax), (ymin, ymax))
+    for pair in bounds:
+        _check(pair, tuple, ANY, "table_bounds_mm")
 
     physics = _validate_physics(data.get("physics", {}))
 
@@ -171,10 +187,10 @@ def validate_layout(data: dict) -> Layout:
     if n_pumps != 1:
         raise LayoutError(f"layout must declare exactly one PumpSource, found {n_pumps}")
     return Layout(
-        seed=seed,
-        placement_noise_sigma=sigma,
-        tilt_per_turn_deg=tpt,
-        table_bounds=bounds,
+        seed=settings["seed"],
+        placement_noise_sigma=float(settings["placement_noise_sigma_mm"]),
+        tilt_per_turn_deg=float(settings["tilt_per_turn_deg"]),
+        table_bounds=tuple((float(lo), float(hi)) for lo, hi in bounds),
         physics=physics,
         records=tuple(records),
         raw=copy.deepcopy(data),
@@ -197,80 +213,28 @@ def validate_component(kind, params, where) -> ComponentKind:
     if unknown:
         raise LayoutError(f"{where} ({kind.value}) has unknown params: {sorted(unknown)}")
     for key, value in params.items():
-        _require_type(value, declared[key][0], f"{where}.{key}")
-    _validate_params(kind, params, where)
+        ptype, _, allowed = declared[key]
+        _check(value, ptype, allowed, f"{where}.{key}")
+    if kind == ComponentKind.LENS and "focal_length_mm" not in params:
+        raise LayoutError(f"{where}: lens needs focal_length_mm")
+    t, r = params.get("pump_transmission"), params.get("pump_reflectivity")
+    if t is not None and r is not None and t + r > 1.0 + 1e-12:
+        raise LayoutError(f"{where}: pump_transmission + pump_reflectivity > 1")
     return kind
-
-
-def _require_type(value, expected, where):
-    if expected is float:
-        _require_number(value, where)
-    elif not isinstance(value, expected) or isinstance(value, bool):
-        raise LayoutError(f"{where} must be {expected.__name__}, got {value!r}")
 
 
 def _validate_physics(raw) -> PhysicsConfig:
     """PhysicsConfig with the layout's overrides, each checked against its field."""
     if not isinstance(raw, dict):
         raise LayoutError("physics must be an object")
-    unknown = set(raw) - _PHYSICS_FIELDS
+    unknown = set(raw) - set(_PHYSICS_FIELDS)
     if unknown:
         raise LayoutError(f"unknown physics fields: {sorted(unknown)}")
-    values = {}
     for name, value in raw.items():
-        where = f"physics.{name}"
-        if name == "mode_band_edges":
-            if not isinstance(value, (list, tuple)):
-                raise LayoutError(f"{where} must be a list of numbers")
-            edges = [_require_number(v, where) for v in value]
-            if any(a >= b for a, b in zip(edges, edges[1:])):
-                raise LayoutError(f"{where} must be increasing")
-            value = tuple(value)
-        elif name == "max_bounces":
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise LayoutError(f"{where} must be an integer >= 0, got {value!r}")
-        elif name in _POSITIVE_PHYSICS:
-            _require_number(value, where, minimum=0.0, allow_equal=False)
-        else:
-            _require_number(value, where)
-        values[name] = value
-    return replace(PhysicsConfig(), **values)
-
-
-def _validate_params(kind: ComponentKind, params: dict, where: str):
-    if kind == ComponentKind.PUMP_SOURCE and "waist_mm" in params:
-        _require_number(params["waist_mm"], f"{where}.waist_mm",
-                        minimum=0.0, allow_equal=False)
-    if kind == ComponentKind.LENS:
-        if "focal_length_mm" not in params:
-            raise LayoutError(f"{where}: lens needs focal_length_mm")
-        _require_number(params["focal_length_mm"], f"{where}.focal_length_mm",
-                        minimum=0.0, allow_equal=False)
-    if kind == ComponentKind.NDF and "transmittance" in params:
-        _require_number(params["transmittance"], f"{where}.transmittance",
-                        minimum=0.0, maximum=1.0, allow_equal=False)
-    if kind == ComponentKind.BEAM_SPLITTER and "split_ratio" in params:
-        v = _require_number(params["split_ratio"], f"{where}.split_ratio", 0.0, 1.0)
-        if v in (0.0, 1.0):
-            raise LayoutError(f"{where}: split_ratio must be strictly inside (0,1)")
-    if kind in (ComponentKind.MIRROR_IC, ComponentKind.MIRROR_OC):
-        t = params.get("pump_transmission")
-        r = params.get("pump_reflectivity")
-        if t is not None:
-            _require_number(t, f"{where}.pump_transmission", 0.0, 1.0)
-        if r is not None:
-            _require_number(r, f"{where}.pump_reflectivity", 0.0, 1.0)
-        if t is not None and r is not None and t + r > 1.0 + 1e-12:
-            raise LayoutError(f"{where}: pump_transmission + pump_reflectivity > 1")
-    if kind == ComponentKind.CAMERA:
-        for key in ("width_px", "height_px"):
-            if key in params:
-                v = params[key]
-                if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
-                    raise LayoutError(f"{where}.{key} must be a positive integer")
-        if "pixel_pitch_mm" in params:
-            _require_number(params["pixel_pitch_mm"], f"{where}.pixel_pitch_mm",
-                            0.0, allow_equal=False)
+        _check(value, *_PHYSICS_FIELDS[name], f"physics.{name}")
+    return replace(PhysicsConfig(), **{
+        name: tuple(value) if isinstance(value, list) else value
+        for name, value in raw.items()})
 
 
 def read_layout(path) -> dict:
@@ -371,15 +335,7 @@ def build_workspace(layout: Layout, seed=None) -> Workspace:
     pumps = layout.records_of_kind(ComponentKind.PUMP_SOURCE)
     if not pumps:
         raise LayoutError("layout has no pump source")
-    pump_rec = pumps[0]
-    pump = Component(
-        id=pump_rec.id,
-        kind=ComponentKind.PUMP_SOURCE,
-        pose=pump_rec.nominal_pose(),
-        params=dict(pump_rec.params),
-        housing_offset=pump_rec.housing_offset,
-        seq=0,
-    )
+    pump = layout.template(pumps[0].id)
     return Workspace(
         components=(pump,),
         rng_state=rng_state_from_seed(layout.seed if seed is None else seed),

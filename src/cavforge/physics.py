@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import MissingComponentError, TraceError, WorkspaceError
-from .simcore import Component, ComponentKind, Workspace
+from .simcore import ANY, NONNEGATIVE, POSITIVE, UNIT, Component, ComponentKind, Workspace
 
 _EPS_X = 1e-9
 # The components that make up the resonator; the lasing model needs all four.
@@ -35,26 +35,32 @@ _CAVITY_KINDS = (ComponentKind.MIRROR_IC, ComponentKind.MIRROR_OC,
                 ComponentKind.LENS, ComponentKind.CRYSTAL)
 
 
+def _ranged(default, allowed=ANY):
+    """A PhysicsConfig field whose layout overrides must lie in ``allowed``."""
+    return field(default=default, metadata={"allowed": allowed})
+
+
 @dataclass(frozen=True)
 class PhysicsConfig:
-    """Simulation constants. Layouts may override any field."""
+    """Simulation constants. A layout may override any field with a value of
+    its type in its ``allowed`` interval (each of ``mode_band_edges``, rising)."""
 
-    pump_wavelength_mm: float = 8.08e-4
-    laser_wavelength_mm: float = 1.064e-3
-    pump_waist_mm: float = 0.3
-    laser_waist_mm: float = 0.25
-    p_threshold: float = 1.0
-    slope_efficiency: float = 0.3
-    threshold_curvature: float = 0.05
-    m_cutoff: float = 4.0
-    mode_band_edges: tuple = (1.3, 2.3, 3.2, 4.0)
-    ref_tilt_deg: float = 0.02
-    ref_lens_offset_mm: float = 0.3
-    ref_crystal_deg: float = 0.2
-    fluorescence_scale: float = 0.08
-    aperture_mm: float = 10.0
-    max_bounces: int = 6
-    min_power_fraction: float = 1e-5
+    pump_wavelength_mm: float = _ranged(8.08e-4, POSITIVE)
+    laser_wavelength_mm: float = _ranged(1.064e-3, POSITIVE)
+    pump_waist_mm: float = _ranged(0.3, POSITIVE)
+    laser_waist_mm: float = _ranged(0.25, POSITIVE)
+    p_threshold: float = _ranged(1.0, POSITIVE)
+    slope_efficiency: float = _ranged(0.3, POSITIVE)
+    threshold_curvature: float = _ranged(0.05, NONNEGATIVE)
+    m_cutoff: float = _ranged(4.0, POSITIVE)
+    mode_band_edges: tuple = _ranged((1.3, 2.3, 3.2, 4.0))
+    ref_tilt_deg: float = _ranged(0.02, POSITIVE)
+    ref_lens_offset_mm: float = _ranged(0.3, POSITIVE)
+    ref_crystal_deg: float = _ranged(0.2, POSITIVE)
+    fluorescence_scale: float = _ranged(0.08, NONNEGATIVE)
+    aperture_mm: float = _ranged(10.0, POSITIVE)
+    max_bounces: int = _ranged(6, NONNEGATIVE)
+    min_power_fraction: float = _ranged(1e-5, UNIT)
 
 
 @dataclass(frozen=True)
@@ -208,8 +214,10 @@ def q_at_waist(waist_mm, wavelength_mm):
 
 
 def beam_radius(q, wavelength_mm):
-    inv_q = 1.0 / q
-    return math.sqrt(-wavelength_mm / (math.pi * inv_q.imag))
+    inv_q_imag = (1.0 / q).imag if q else 0.0
+    if not inv_q_imag < 0.0:
+        raise TraceError(f"Rayleigh range out of float range at q={q!r}")
+    return math.sqrt(-wavelength_mm / (math.pi * inv_q_imag))
 
 
 def q_through_lens(q, focal_mm):
@@ -451,8 +459,6 @@ def render_frame(hits, camera: Component) -> CameraFrame:
     the sensor x axis. Overlapping spots add, then the frame clips at 1.
     Each spot's factors are computed here; pixels are drawn on demand.
     """
-    if isinstance(hits, CameraHit):
-        hits = [hits]
     width = int(camera.param("width_px"))
     height = int(camera.param("height_px"))
     pitch = float(camera.param("pixel_pitch_mm"))

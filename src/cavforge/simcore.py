@@ -11,6 +11,7 @@ Units are millimetres and degrees throughout.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, Mapping
@@ -126,60 +127,86 @@ class ComponentKind(str, Enum):
     CAMERA = "Camera"
 
 
-# Every parameter a component may declare, by kind: its type and the value a
-# component that omits it reads. ``None`` marks a parameter with no fixed
-# default: a lens must declare ``focal_length_mm``; the physics falls back to
-# a PhysicsConfig field for ``aperture_mm`` and ``waist_mm`` and to
-# 1 - ``pump_transmission`` for ``pump_reflectivity``; a mirror without
-# ``substrate_focal_mm`` has a flat substrate, and a splitter without
-# ``arm_camera`` feeds no camera.
+@dataclass(frozen=True)
+class Interval:
+    """The numbers a layout value may take: ``lo`` to ``hi``, each end open or closed."""
+
+    lo: float = -math.inf
+    hi: float = math.inf
+    lo_open: bool = False
+    hi_open: bool = False
+
+    def violation(self, v) -> str | None:
+        """The bound ``v`` breaks, such as ``'> 0.0'``, or None if it has none."""
+        if v < self.lo or (self.lo_open and v == self.lo):
+            return f"{'>' if self.lo_open else '>='} {self.lo}"
+        if v > self.hi or (self.hi_open and v == self.hi):
+            return f"{'<' if self.hi_open else '<='} {self.hi}"
+        return None
+
+
+ANY = Interval()
+POSITIVE = Interval(0.0, lo_open=True)
+NONNEGATIVE = Interval(0.0)
+UNIT = Interval(0.0, 1.0)
+OPEN_UNIT = Interval(0.0, 1.0, lo_open=True, hi_open=True)
+TRANSMITTANCE = Interval(0.0, 1.0, lo_open=True)
+
+# Every parameter a component may declare, by kind: its type, the value a
+# component that omits it reads, and the values it allows (an Interval for a
+# number; for a string the allowed strings, or None for any). A default of
+# ``None`` marks a parameter with no fixed default: a lens must declare
+# ``focal_length_mm``; the physics falls back to a PhysicsConfig field for
+# ``aperture_mm`` and ``waist_mm`` and to 1 - ``pump_transmission`` for
+# ``pump_reflectivity``; a mirror without ``substrate_focal_mm`` has a flat
+# substrate, and a splitter without ``arm_camera`` feeds no camera.
 _MIRROR_PARAMS = {
-    "pump_transmission": (float, 0.5),
-    "pump_reflectivity": (float, None),
-    "substrate_focal_mm": (float, None),
-    "knob_jitter_deg": (float, 0.0),
-    "aperture_mm": (float, None),
+    "pump_transmission": (float, 0.5, UNIT),
+    "pump_reflectivity": (float, None, UNIT),
+    "substrate_focal_mm": (float, None, ANY),
+    "knob_jitter_deg": (float, 0.0, NONNEGATIVE),
+    "aperture_mm": (float, None, POSITIVE),
 }
 
 COMPONENT_PARAMS = {
     ComponentKind.PUMP_SOURCE: {
-        "power": (float, 1.0),
-        "waist_mm": (float, None),
+        "power": (float, 1.0, POSITIVE),
+        "waist_mm": (float, None, POSITIVE),
     },
     ComponentKind.MIRROR_IC: _MIRROR_PARAMS,
     ComponentKind.MIRROR_OC: _MIRROR_PARAMS,
     ComponentKind.LENS: {
-        "focal_length_mm": (float, None),
-        "aperture_mm": (float, None),
+        "focal_length_mm": (float, None, POSITIVE),
+        "aperture_mm": (float, None, POSITIVE),
     },
     ComponentKind.BEAM_SPLITTER: {
-        "split_ratio": (float, 0.5),
-        "arm_camera": (str, None),
-        "aperture_mm": (float, None),
+        "split_ratio": (float, 0.5, OPEN_UNIT),
+        "arm_camera": (str, None, None),
+        "aperture_mm": (float, None, POSITIVE),
     },
     ComponentKind.NDF: {
-        "transmittance": (float, 1.0),
-        "aperture_mm": (float, None),
+        "transmittance": (float, 1.0, TRANSMITTANCE),
+        "aperture_mm": (float, None, POSITIVE),
     },
     ComponentKind.BPF: {
-        "passband": (str, "laser"),
-        "aperture_mm": (float, None),
+        "passband": (str, "laser", ("pump", "laser")),
+        "aperture_mm": (float, None, POSITIVE),
     },
     ComponentKind.BEAM_BLOCK: {
-        "aperture_mm": (float, None),
+        "aperture_mm": (float, None, POSITIVE),
     },
     ComponentKind.CRYSTAL: {
-        "theta_deg": (float, 0.0),
-        "theta_opt_deg": (float, 0.0),
-        "aperture_mm": (float, None),
+        "theta_deg": (float, 0.0, ANY),
+        "theta_opt_deg": (float, 0.0, ANY),
+        "aperture_mm": (float, None, POSITIVE),
     },
     ComponentKind.CAMERA: {
-        "width_px": (int, 640),
-        "height_px": (int, 480),
-        "pixel_pitch_mm": (float, 0.01),
-        "body_halfwidth_mm": (float, 15.0),
-        "gain_pump": (float, 1.0),
-        "gain_laser": (float, 1.0),
+        "width_px": (int, 640, POSITIVE),
+        "height_px": (int, 480, POSITIVE),
+        "pixel_pitch_mm": (float, 0.01, POSITIVE),
+        "body_halfwidth_mm": (float, 15.0, POSITIVE),
+        "gain_pump": (float, 1.0, NONNEGATIVE),
+        "gain_laser": (float, 1.0, NONNEGATIVE),
     },
 }
 

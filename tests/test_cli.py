@@ -92,6 +92,35 @@ def test_zero_widths_and_wavelengths_exit_2(tmp_path, capsys):
         assert "error:" in err and "Traceback" not in err, override
 
 
+@pytest.mark.parametrize("override", [
+    "table_bounds_mm=[[-50,1e999],[-250,250]]", "table_bounds_mm=[[-50,NaN],[-250,250]]",
+    "components.pump.params.power=0", "components.pump.params.power=-1",
+    "physics.p_threshold=0", "physics.slope_efficiency=0", "physics.m_cutoff=0",
+    "physics.threshold_curvature=-1", "physics.fluorescence_scale=-1",
+    "physics.aperture_mm=-1", "physics.min_power_fraction=-1", "physics.max_bounces=-1",
+    "components.cam1.params.gain_pump=-1", "components.cam1.params.gain_laser=-1",
+    "components.cam1.params.body_halfwidth_mm=0", "components.lens.params.aperture_mm=0",
+    "components.ic.params.knob_jitter_deg=-1", "components.bpf.params.passband=lazer",
+])
+def test_out_of_range_overrides_exit_2(tmp_path, capsys, override):
+    code, _ = _run(["build", "--out", str(tmp_path), "--set", override])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+    assert not (tmp_path / "state.json").exists()
+
+
+def test_rayleigh_range_out_of_float_range_fails_its_step(tmp_path, capsys):
+    for override in ("components.pump.params.waist_mm=1e-200",
+                     "components.pump.params.waist_mm=1e200",
+                     "physics.laser_waist_mm=1e-200"):
+        code, _ = _run(["build", "--out", str(tmp_path), "--set", override])
+        err = capsys.readouterr().err
+        assert code == 1, override
+        assert "build failed at step" in err and "Rayleigh range" in err, override
+        assert "Traceback" not in err, override
+
+
 def test_failed_build_exits_1_and_keeps_diagnostics(tmp_path, capsys):
     # without its attenuator the pump saturates the reference camera
     code, _ = _run(["build", "--out", str(tmp_path),

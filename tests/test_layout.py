@@ -1,11 +1,18 @@
+import dataclasses
 import json
+import math
+import sys
+import typing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavforge.errors import LayoutError
 from cavforge.layout import (apply_overrides, build_workspace, default_layout,
                              load_layout, validate_layout)
-from cavforge.simcore import ComponentKind, new_workspace
+from cavforge.physics import PhysicsConfig
+from cavforge.simcore import COMPONENT_PARAMS, ComponentKind, new_workspace
 
 
 def _valid():
@@ -43,6 +50,23 @@ def test_default_layout_validates():
     (lambda d: d["physics"].update(ref_lens_offset_mm=0), "physics.ref_lens_offset_mm"),
     (lambda d: d["physics"].update(ref_crystal_deg=0), "physics.ref_crystal_deg"),
     (lambda d: d.update(components=[]), "non-empty list"),
+    (lambda d: d.update(table_bounds_mm=[[-50, float("inf")], [-250, 250]]),
+     "table_bounds_mm must be a finite number"),
+    (lambda d: d.update(table_bounds_mm=[[-50, 800], [float("nan"), 250]]),
+     "table_bounds_mm must be a finite number"),
+    (lambda d: d.update(seed=-1), "seed must be >= 0"),
+    (lambda d: d["physics"].update(p_threshold=0), "physics.p_threshold must be > 0"),
+    (lambda d: d["physics"].update(slope_efficiency=0), "physics.slope_efficiency"),
+    (lambda d: d["physics"].update(m_cutoff=0), "physics.m_cutoff must be > 0"),
+    (lambda d: d["physics"].update(threshold_curvature=-0.1),
+     "physics.threshold_curvature must be >= 0"),
+    (lambda d: d["physics"].update(fluorescence_scale=-0.1), "physics.fluorescence_scale"),
+    (lambda d: d["physics"].update(aperture_mm=-1), "physics.aperture_mm must be > 0"),
+    (lambda d: d["physics"].update(min_power_fraction=-1e-5),
+     "physics.min_power_fraction must be >= 0"),
+    (lambda d: d["physics"].update(min_power_fraction=1.5),
+     "physics.min_power_fraction must be <= 1"),
+    (lambda d: d["physics"].update(max_bounces=-1), "physics.max_bounces must be >= 0"),
 ])
 def test_top_level_validation(mutate, message):
     data = _valid()
@@ -86,6 +110,20 @@ def _component(data, cid):
      "waist_mm must be > 0"),
     (lambda d: _component(d, "pump")["params"].update(waist_mm=-0.3),
      "waist_mm must be > 0.0"),
+    (lambda d: _component(d, "pump")["params"].update(power=0), "power must be > 0"),
+    (lambda d: _component(d, "pump")["params"].update(power=-1), "power must be > 0"),
+    (lambda d: _component(d, "cam1")["params"].update(gain_pump=-1),
+     "gain_pump must be >= 0"),
+    (lambda d: _component(d, "cam1")["params"].update(gain_laser=-1),
+     "gain_laser must be >= 0"),
+    (lambda d: _component(d, "cam1")["params"].update(body_halfwidth_mm=0),
+     "body_halfwidth_mm must be > 0"),
+    (lambda d: _component(d, "lens")["params"].update(aperture_mm=0),
+     "aperture_mm must be > 0"),
+    (lambda d: _component(d, "ic")["params"].update(knob_jitter_deg=-1),
+     "knob_jitter_deg must be >= 0"),
+    (lambda d: _component(d, "bpf")["params"].update(passband="lazer"),
+     "passband must be one of"),
 ])
 def test_component_validation(mutate, message):
     data = _valid()
@@ -175,3 +213,80 @@ def test_build_workspace_bolts_down_only_the_pump():
     # seed override swaps the noise stream, default uses the layout seed
     assert build_workspace(layout).rng_state == new_workspace(42).rng_state
     assert build_workspace(layout, 7).rng_state == new_workspace(7).rng_state
+
+
+def _declared_targets():
+    """(``--set`` path, name the error must give, type, allowed, other params)
+    for every parameter declared for the kind of a stock component (its first
+    of that kind) and every PhysicsConfig field."""
+    targets = []
+    comps = default_layout()["components"]
+    for kind, declared in COMPONENT_PARAMS.items():
+        i, rec = next((i, c) for i, c in enumerate(comps) if c["kind"] == kind.value)
+        for name, (ptype, _, allowed) in declared.items():
+            others = {k: v for k, v in rec["params"].items() if k != name}
+            targets.append((f"components.{rec['id']}.params.{name}",
+                            f"components[{i}]", name, ptype, allowed, others))
+    hints = typing.get_type_hints(PhysicsConfig)
+    for f in dataclasses.fields(PhysicsConfig):
+        targets.append((f"physics.{f.name}", f"physics.{f.name}", f.name,
+                        hints[f.name], f.metadata["allowed"], {}))
+    return targets
+
+
+def _admits(ptype, allowed, others, name, value):
+    """Whether ``value`` is of the declared type inside the declared range."""
+    def number(v):
+        finite = abs(v) <= sys.float_info.max if type(v) is int else math.isfinite(v)
+        return (finite and (allowed.lo < v or (v == allowed.lo and not allowed.lo_open))
+                and (v < allowed.hi or (v == allowed.hi and not allowed.hi_open)))
+
+    if ptype is str:
+        return type(value) is str and (allowed is None or value in allowed)
+    if ptype is tuple:
+        return (type(value) is list and all(type(v) in (int, float) and number(v)
+                                            for v in value)
+                and all(a < b for a, b in zip(value, value[1:])))
+    if type(value) not in ((int,) if ptype is int else (int, float)) or not number(value):
+        return False
+    # the one cross-field rule a single value can break on a stock mirror
+    partner = {"pump_transmission": "pump_reflectivity",
+               "pump_reflectivity": "pump_transmission"}.get(name)
+    return partner not in others or value + others[partner] <= 1.0 + 1e-12
+
+
+def _assert_accepted_exactly_inside_its_range(target, value):
+    path, where, name, ptype, allowed, others = target
+    data = apply_overrides(_valid(), [f"{path}={json.dumps(value)}"])
+    try:
+        validate_layout(data)
+    except LayoutError as exc:
+        assert not _admits(ptype, allowed, others, name, value), exc
+        assert where in str(exc) and name in str(exc), exc
+    else:
+        assert _admits(ptype, allowed, others, name, value), (path, value)
+
+
+_TARGETS = _declared_targets()
+# Each declared range's ends, a step either side of them, and every type.
+_EDGES = [0, 1, -1, 0.0, -0.0, 1.0, 0.5, -1e-300, 1.0 + 2**-52, 1e-200, 1e308, 10**400,
+          float("nan"), float("inf"), float("-inf"), True, False, None,
+          "pump", "laser", "lazer", "", [], [1.3, 2.3], [2, 1], [0.5, float("nan")]]
+_VALUES = st.one_of(
+    st.sampled_from(_EDGES), st.floats(), st.integers(), st.booleans(),
+    st.text(max_size=6), st.none(),
+    st.lists(st.one_of(st.floats(), st.integers(-5, 5), st.sampled_from(_EDGES[:15])),
+             max_size=5),
+)
+
+
+def test_every_declared_value_at_the_edges_of_its_range():
+    for target in _TARGETS:
+        for value in _EDGES:
+            _assert_accepted_exactly_inside_its_range(target, value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_TARGETS), _VALUES)
+def test_declared_values_are_accepted_exactly_inside_their_range(target, value):
+    _assert_accepted_exactly_inside_its_range(target, value)

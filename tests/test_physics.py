@@ -36,6 +36,15 @@ def test_beam_radius_round_trip_and_growth():
     assert beam_radius(q + 500.0, lam) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("waist_mm", [1e-200, 1e200])
+def test_beam_radius_rejects_a_rayleigh_range_out_of_float_range(waist_mm):
+    # z_R underflows to 0 or overflows to inf, so 1/q has no negative imaginary part
+    lam = 8.08e-4
+    for q in (q_at_waist(waist_mm, lam), q_at_waist(waist_mm, lam) + 500.0):
+        with pytest.raises(TraceError, match="Rayleigh range"):
+            beam_radius(q, lam)
+
+
 def test_trace_requires_a_pump():
     with pytest.raises(TraceError):
         trace_beam(bench([camera("cam", 100.0)]))
