@@ -34,8 +34,8 @@ from .vision import (
     centroid,
     emission_score,
     log_transform,
+    reflection_centroid,
     sensor_center_px,
-    subtract_reference,
 )
 
 _MIN_RESPONSE = 1e-6
@@ -561,9 +561,7 @@ def align_resonator(ws: Workspace, mirror_id: str, camera_id: str, reference,
     def objective(readings):
         h, v = readings
         state["ws"] = set_knob_readings(state["ws"], mirror_id, h, v)
-        frame = camera_view(state["ws"], camera_id)
-        diff = subtract_reference(log_transform(frame), reference_log)
-        spot = centroid(diff)
+        spot = reflection_centroid(camera_view(state["ws"], camera_id), reference_log)
         if not spot.detected:
             return penalty
         return math.hypot(spot.x_px - anchor.x_px, spot.y_px - anchor.y_px)

@@ -26,7 +26,8 @@ import numpy as np
 from . import trials
 from .errors import CavforgeError, ConstructionError, LayoutError
 from .frameio import write_csv, write_pgm
-from .layout import apply_overrides, default_layout, read_layout, validate_layout
+from .layout import (apply_overrides, check_seed, default_layout, read_layout,
+                     validate_layout)
 from .physics import camera_view
 from .pipeline import (
     PipelineState,
@@ -106,7 +107,7 @@ def cmd_build(args) -> int:
         _write_jsonl(out / "trace.jsonl", exc.log)
         if exc.state is not None:
             _save_state(args, exc.state)
-        print(f"build failed at step {int(exc.step)}: {exc}", file=sys.stderr)
+        print(f"build failed at step {int(exc.step)}: {exc.reason}", file=sys.stderr)
         return 1
     _save_state(args, state)
     _write_jsonl(out / "trace.jsonl", state.log)
@@ -255,6 +256,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.seed is not None:
+            check_seed(args.seed)
         return args.func(args)
     except LayoutError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -62,10 +62,12 @@ class NoLasingError(CavforgeError):
 
 
 class ConstructionError(CavforgeError):
-    """A pipeline step failed; carries the step and the event log so far."""
+    """A pipeline step failed; carries the step, the reason without the
+    step, and the event log so far."""
 
     def __init__(self, step, message, log=None, state=None):
         super().__init__(f"step {int(step)}: {message}")
         self.step = step
+        self.reason = message
         self.log = log or []
         self.state = state

@@ -125,6 +125,12 @@ def _check(value, kind, allowed, where):
         raise LayoutError(f"{where} must be one of {list(allowed)}, got {value!r}")
 
 
+def check_seed(seed) -> None:
+    """Raise LayoutError unless ``seed`` is a value the layout's ``seed`` admits."""
+    kind, _, allowed = _SETTINGS["seed"]
+    _check(seed, kind, allowed, "seed")
+
+
 def validate_layout(data: dict) -> Layout:
     """Validate a layout dict and return the typed form.
 

@@ -20,6 +20,7 @@ power above it, and the transverse mode order.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 
@@ -228,19 +229,29 @@ def q_through_lens(q, focal_mm):
 # Trace machinery
 
 
-@dataclass
 class _Ray:
-    x: float
-    y: float
-    z: float
-    sy: float
-    sz: float
-    sign: int
-    power: float
-    wavelength: str
-    q: complex
-    n_bounces: int
-    path: tuple
+    """One branch of the beam. ``_run_rays`` advances a ray in place and
+    copies it only where a mirror splits it in two."""
+
+    __slots__ = ("x", "y", "z", "sy", "sz", "sign", "power", "wavelength", "q",
+                 "n_bounces", "path")
+
+    def __init__(self, x, y, z, sy, sz, sign, power, wavelength, q, n_bounces, path):
+        self.x = x
+        self.y = y
+        self.z = z
+        self.sy = sy
+        self.sz = sz
+        self.sign = sign
+        self.power = power
+        self.wavelength = wavelength
+        self.q = q
+        self.n_bounces = n_bounces
+        self.path = path
+
+    def copy(self) -> _Ray:
+        return _Ray(self.x, self.y, self.z, self.sy, self.sz, self.sign, self.power,
+                    self.wavelength, self.q, self.n_bounces, self.path)
 
 
 def _mirror_tilts_rad(comp: Component):
@@ -301,19 +312,22 @@ def _run_rays(ws: Workspace, queue, result: TraceResult, power_floor):
         "pump": cfg.pump_wavelength_mm,
         "laser": cfg.laser_wavelength_mm,
     }
-    comps = ws.components
+    table, table_x = _aperture_table(ws.components, cfg)
     while queue:
         ray = queue.pop(0)
         if ray.power < power_floor or ray.n_bounces > cfg.max_bounces:
             continue
         lam = wavelength_mm[ray.wavelength]
-        nxt = _next_component(comps, ray, cfg)
+        nxt = _next_component(table, table_x, ray)
         if nxt is None:
             continue
         comp, y_at, z_at = nxt
         dx = comp.pose.x - ray.x
-        ray = replace(ray, x=comp.pose.x, y=y_at, z=z_at, q=ray.q + abs(dx),
-                      path=ray.path + (comp.id,))
+        ray.x = comp.pose.x
+        ray.y = y_at
+        ray.z = z_at
+        ray.q = ray.q + abs(dx)
+        ray.path = ray.path + (comp.id,)
         if ray.wavelength == "pump" and ray.n_bounces == 0 and ray.sign == 1:
             result.primary_at[comp.id] = (y_at, z_at, ray.sy, ray.sz, ray.power)
 
@@ -326,8 +340,8 @@ def _run_rays(ws: Workspace, queue, result: TraceResult, power_floor):
         if kind == ComponentKind.PUMP_SOURCE:
             continue
         if kind == ComponentKind.NDF:
-            tau = float(comp.param("transmittance"))
-            queue.append(replace(ray, power=ray.power * tau))
+            ray.power = ray.power * float(comp.param("transmittance"))
+            queue.append(ray)
             continue
         if kind == ComponentKind.BPF:
             if ray.wavelength == comp.param("passband"):
@@ -337,12 +351,13 @@ def _run_rays(ws: Workspace, queue, result: TraceResult, power_floor):
             queue.append(ray)
             continue
         if kind == ComponentKind.LENS:
-            queue.append(_through_lens(ray, comp, float(comp.param("focal_length_mm"))))
+            _through_lens(ray, comp, float(comp.param("focal_length_mm")))
+            queue.append(ray)
             continue
         if kind == ComponentKind.BEAM_SPLITTER:
             _record_side_hit(ws, result, comp, ray, y_at, z_at, lam)
-            ratio = float(comp.param("split_ratio"))
-            queue.append(replace(ray, power=ray.power * (1.0 - ratio)))
+            ray.power = ray.power * (1.0 - float(comp.param("split_ratio")))
+            queue.append(ray)
             continue
         if kind in (ComponentKind.MIRROR_IC, ComponentKind.MIRROR_OC):
             t = float(comp.param("pump_transmission"))
@@ -350,55 +365,78 @@ def _run_rays(ws: Workspace, queue, result: TraceResult, power_floor):
             r = 1.0 - t if r is None else float(r)
             if ray.wavelength == "laser":
                 t, r = 1.0, 0.0
-            transmitted = replace(ray, power=ray.power * t)
+            transmitted = ray.copy()
+            transmitted.power = ray.power * t
             f_sub = comp.param("substrate_focal_mm")
             if f_sub:
-                transmitted = _through_lens(transmitted, comp, float(f_sub))
+                _through_lens(transmitted, comp, float(f_sub))
             queue.append(transmitted)
             if r > 0.0:
                 th, tv = _mirror_tilts_rad(comp)
-                queue.append(replace(
-                    ray,
-                    sy=2.0 * th - ray.sy,
-                    sz=2.0 * tv - ray.sz,
-                    sign=-ray.sign,
-                    power=ray.power * r,
-                    n_bounces=ray.n_bounces + 1,
-                ))
+                ray.sy = 2.0 * th - ray.sy
+                ray.sz = 2.0 * tv - ray.sz
+                ray.sign = -ray.sign
+                ray.power = ray.power * r
+                ray.n_bounces = ray.n_bounces + 1
+                queue.append(ray)
             continue
         raise TraceError(f"unhandled component kind {kind}")
 
 
-def _next_component(comps, ray: _Ray, cfg: PhysicsConfig):
-    best = None
-    for c in comps:
-        dx = (c.pose.x - ray.x) * ray.sign
-        if dx <= _EPS_X:
-            continue
-        y_at = ray.y + ray.sy * (c.pose.x - ray.x)
-        z_at = ray.z + ray.sz * (c.pose.x - ray.x)
+def _aperture_table(comps, cfg: PhysicsConfig):
+    """``(x, y, z, half_width, index, component)`` for each of ``comps``,
+    sorted by x and then by index in ``comps``, and the sorted x values.
+
+    ``half_width`` is a camera's body half-width, or any other component's
+    aperture.
+    """
+    table = []
+    for index, c in enumerate(comps):
         if c.kind == ComponentKind.CAMERA:
             half = float(c.param("body_halfwidth_mm"))
         else:
             half = _aperture(c, cfg)
-        if abs(y_at - c.pose.y) > half or abs(z_at - c.pose.z) > half:
+        table.append((c.pose.x, c.pose.y, c.pose.z, half, index, c))
+    table.sort(key=lambda row: row[0])  # stable: ties keep their order in comps
+    return table, [row[0] for row in table]
+
+
+def _next_component(table, table_x, ray: _Ray):
+    """``(component, y, z)`` where the ray next lands, or None: the nearest
+    component ahead whose aperture takes it, more than ``_EPS_X`` away, and
+    of two at the same distance the one earlier in the workspace."""
+    if ray.sign > 0:
+        ahead = range(bisect.bisect_right(table_x, ray.x), len(table))
+    else:
+        ahead = range(bisect.bisect_left(table_x, ray.x) - 1, -1, -1)
+    best = None
+    for k in ahead:
+        x, y, z, half, index, comp = table[k]
+        offset = x - ray.x
+        dx = offset * ray.sign
+        if dx <= _EPS_X:
             continue
-        if best is None or dx < best[0]:
-            best = (dx, c, y_at, z_at)
+        # rounding is monotone, so dx never falls along the scan: once a
+        # component takes the ray only one at the same dx can still tie
+        if best is not None and dx != best[0]:
+            break
+        y_at = ray.y + ray.sy * offset
+        z_at = ray.z + ray.sz * offset
+        if abs(y_at - y) > half or abs(z_at - z) > half:
+            continue
+        if best is None or index < best[1]:
+            best = (dx, index, comp, y_at, z_at)
     if best is None:
         return None
-    return best[1], best[2], best[3]
+    return best[2], best[3], best[4]
 
 
-def _through_lens(ray: _Ray, comp: Component, focal_mm: float) -> _Ray:
+def _through_lens(ray: _Ray, comp: Component, focal_mm: float) -> None:
     y_rel = ray.y - comp.pose.y
     z_rel = ray.z - comp.pose.z
-    return replace(
-        ray,
-        sy=ray.sy - ray.sign * y_rel / focal_mm,
-        sz=ray.sz - ray.sign * z_rel / focal_mm,
-        q=q_through_lens(ray.q, focal_mm),
-    )
+    ray.sy = ray.sy - ray.sign * y_rel / focal_mm
+    ray.sz = ray.sz - ray.sign * z_rel / focal_mm
+    ray.q = q_through_lens(ray.q, focal_mm)
 
 
 def _record_camera_hit(result: TraceResult, cam: Component, ray: _Ray,

@@ -151,6 +151,8 @@ NONNEGATIVE = Interval(0.0)
 UNIT = Interval(0.0, 1.0)
 OPEN_UNIT = Interval(0.0, 1.0, lo_open=True, hi_open=True)
 TRANSMITTANCE = Interval(0.0, 1.0, lo_open=True)
+# a sensor side in pixels; each spot's factors span the whole side
+SENSOR_PX = Interval(0.0, 4096.0, lo_open=True)
 
 # Every parameter a component may declare, by kind: its type, the value a
 # component that omits it reads, and the values it allows (an Interval for a
@@ -201,8 +203,8 @@ COMPONENT_PARAMS = {
         "aperture_mm": (float, None, POSITIVE),
     },
     ComponentKind.CAMERA: {
-        "width_px": (int, 640, POSITIVE),
-        "height_px": (int, 480, POSITIVE),
+        "width_px": (int, 640, SENSOR_PX),
+        "height_px": (int, 480, SENSOR_PX),
         "pixel_pitch_mm": (float, 0.01, POSITIVE),
         "body_halfwidth_mm": (float, 15.0, POSITIVE),
         "gain_pump": (float, 1.0, NONNEGATIVE),

@@ -45,16 +45,25 @@ class BeamStats:
     m_squared: float | None
 
 
+def _check_gain(gain):
+    if gain <= 0:
+        raise WorkspaceError("log transform gain must be positive")
+
+
+def _stretch(pixels, gain):
+    # the one copy of the stretch arithmetic
+    return np.log1p(gain * pixels) / math.log1p(gain)
+
+
 def log_transform(frame: CameraFrame, gain: float = 10.0) -> CameraFrame:
     """Compress dynamic range: ``log(1 + gain*I) / log(1 + gain)``.
 
     Fixes the endpoints (0 -> 0, 1 -> 1) and is strictly monotone, so dim
     secondary spots gain contrast without reordering intensities.
     """
-    if gain <= 0:
-        raise WorkspaceError("log transform gain must be positive")
-    out = np.log1p(gain * frame.intensities) / math.log1p(gain)
-    return CameraFrame(out, frame.pixel_pitch_mm, frame.camera_id)
+    _check_gain(gain)
+    return CameraFrame(_stretch(frame.intensities, gain), frame.pixel_pitch_mm,
+                       frame.camera_id)
 
 
 def subtract_reference(live: CameraFrame, reference: CameraFrame) -> CameraFrame:
@@ -64,6 +73,34 @@ def subtract_reference(live: CameraFrame, reference: CameraFrame) -> CameraFrame
         raise WorkspaceError("frame shapes differ")
     out = np.maximum(live.intensities - reference.intensities, 0.0)
     return CameraFrame(out, live.pixel_pitch_mm, live.camera_id)
+
+
+def reflection_centroid(live: CameraFrame, reference_log: CameraFrame, gain: float = 10.0,
+                        noise_floor: float = DEFAULT_NOISE_FLOOR) -> CentroidResult:
+    """``centroid(subtract_reference(log_transform(live, gain), reference_log),
+    noise_floor)``, bit for bit, drawing and stretching only the window of
+    ``live`` that can clear the floor."""
+    _check_gain(gain)
+    reference = reference_log.intensities
+    if (live.height, live.width) != reference.shape:
+        raise WorkspaceError("frame shapes differ")
+    # The window holds every live pixel above floor_i, half the intensity
+    # whose stretch reaches the floor. A pixel at or below floor_i stretches
+    # to log1p(expm1(a) / 2) / a of the floor, a = floor * log1p(gain): below
+    # 1 always and about 0.51 at the default floor and gain, so any log1p
+    # accurate to tens of percent keeps it under the floor, without relying
+    # on log1p rounding monotonically. The reference is >= 0 and IEEE
+    # subtraction rounds monotonically, so its difference is at most its
+    # stretch and cannot clear the floor either. Every counted pixel lies in
+    # the window, in the same row-major order, and frame_moments takes
+    # whole-frame indices.
+    floor_i = math.expm1(noise_floor * math.log1p(gain)) / gain / 2.0
+    pixels, top, left = live.window(floor_i)
+    height, width = pixels.shape
+    diff = np.maximum(_stretch(pixels, gain)
+                      - reference[top:top + height, left:left + width], 0.0)
+    total, cx, cy, _, _, _, count = _kernels.frame_moments(diff, noise_floor, top, left)
+    return CentroidResult(_detected(total, count, noise_floor), cx, cy, total)
 
 
 def _moments(frame: CameraFrame, floor: float) -> tuple:
@@ -81,8 +118,11 @@ def centroid(frame: CameraFrame, noise_floor: float = DEFAULT_NOISE_FLOOR) -> Ce
     a faint numerical tail never yields a spurious position.
     """
     total, cx, cy, _, _, _, count = _moments(frame, noise_floor)
-    detected = count > 0 and total >= DETECTION_FACTOR * noise_floor
-    return CentroidResult(detected=detected, x_px=cx, y_px=cy, total_intensity=total)
+    return CentroidResult(_detected(total, count, noise_floor), cx, cy, total)
+
+
+def _detected(total, count, noise_floor) -> bool:
+    return count > 0 and total >= DETECTION_FACTOR * noise_floor
 
 
 def beam_stats(frame: CameraFrame, noise_floor: float = DEFAULT_NOISE_FLOOR,
@@ -93,8 +133,7 @@ def beam_stats(frame: CameraFrame, noise_floor: float = DEFAULT_NOISE_FLOOR,
         # a window with nothing above the floor need not hold the maximum
         vmax = float(frame.intensities.max())
     saturated = vmax >= _SATURATED
-    detected = count > 0 and total >= DETECTION_FACTOR * noise_floor
-    if not detected:
+    if not _detected(total, count, noise_floor):
         return BeamStats(False, saturated, None, total, None, None)
     sigma = (math.sqrt(var_x), math.sqrt(var_y))
     m_squared = None

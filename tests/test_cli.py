@@ -101,6 +101,8 @@ def test_zero_widths_and_wavelengths_exit_2(tmp_path, capsys):
     "components.cam1.params.gain_pump=-1", "components.cam1.params.gain_laser=-1",
     "components.cam1.params.body_halfwidth_mm=0", "components.lens.params.aperture_mm=0",
     "components.ic.params.knob_jitter_deg=-1", "components.bpf.params.passband=lazer",
+    # a sensor this wide would be drawn for minutes
+    "components.cam1.params.width_px=100000000",
 ])
 def test_out_of_range_overrides_exit_2(tmp_path, capsys, override):
     code, _ = _run(["build", "--out", str(tmp_path), "--set", override])
@@ -130,6 +132,25 @@ def test_failed_build_exits_1_and_keeps_diagnostics(tmp_path, capsys):
     assert (tmp_path / "trace.jsonl").exists()
     assert (tmp_path / "state.json").exists()  # partial state for inspection
     assert not (tmp_path / "baseline.json").exists()
+
+
+def test_a_failed_build_names_its_step_once(tmp_path, capsys):
+    code, _ = _run(["build", "--out", str(tmp_path),
+                    "--set", "components.ndf.params.transmittance=1.0"])
+    assert code == 1
+    assert capsys.readouterr().err.count("step 2:") == 1
+
+
+@pytest.mark.parametrize("command", [["build"], ["recover"], ["trial-batch", "spatial", "-n", "1"]])
+def test_a_negative_seed_exits_2(built_dir, tmp_path, capsys, command):
+    # recover reads the seed only for a drift recovery, so it gets one to do
+    shutil.copytree(built_dir, tmp_path, dirs_exist_ok=True)
+    assert _run(["perturb", "knobs", "--out", str(tmp_path)])[0] == 0
+    capsys.readouterr()
+    code, _ = _run(command + ["--seed", "-1", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: seed must be >= 0" in err and "Traceback" not in err
 
 
 def test_perturb_displace_then_recover(tmp_path):

@@ -100,6 +100,10 @@ def _component(data, cid):
      "pump_transmission"),
     (lambda d: _component(d, "cam1")["params"].update(width_px=3.5),
      "width_px"),
+    (lambda d: _component(d, "cam1")["params"].update(width_px=4097),
+     "width_px must be <= 4096"),
+    (lambda d: _component(d, "cam1")["params"].update(height_px=4097),
+     "height_px must be <= 4096"),
     (lambda d: _component(d, "cam1")["params"].update(pixel_pitch_mm=0),
      "pixel_pitch_mm"),
     (lambda d: _component(d, "cam1")["params"].update(gain_pump="x"),
@@ -130,6 +134,12 @@ def test_component_validation(mutate, message):
     mutate(data)
     with pytest.raises(LayoutError, match=message):
         validate_layout(data)
+
+
+def test_a_sensor_of_4096_pixels_a_side_is_accepted():
+    data = _valid()
+    _component(data, "cam1")["params"].update(width_px=4096, height_px=4096)
+    assert validate_layout(data).record("cam1").params["width_px"] == 4096
 
 
 def test_exactly_one_pump_required():
@@ -271,7 +281,8 @@ _TARGETS = _declared_targets()
 # Each declared range's ends, a step either side of them, and every type.
 _EDGES = [0, 1, -1, 0.0, -0.0, 1.0, 0.5, -1e-300, 1.0 + 2**-52, 1e-200, 1e308, 10**400,
           float("nan"), float("inf"), float("-inf"), True, False, None,
-          "pump", "laser", "lazer", "", [], [1.3, 2.3], [2, 1], [0.5, float("nan")]]
+          "pump", "laser", "lazer", "", [], [1.3, 2.3], [2, 1], [0.5, float("nan")],
+          4096, 4097]
 _VALUES = st.one_of(
     st.sampled_from(_EDGES), st.floats(), st.integers(), st.booleans(),
     st.text(max_size=6), st.none(),

@@ -124,6 +124,30 @@ def test_lens_stack_matches_paraxial_matrix_oracle():
         assert abs(hit.v_mm - propagate(z0, 0.0)) < 1e-9
 
 
+@pytest.mark.parametrize("order", ["placed", "reversed", "shuffled"])
+@pytest.mark.parametrize("retro", [False, True])
+def test_a_tie_goes_to_the_component_earlier_in_the_workspace(retro, order):
+    # cameras a and b sit at the same x and both admit the beam: the pump's
+    # own, or its reflection off a tilted mirror travelling back past the
+    # pump's aperture; c, further along, must never see it
+    if retro:
+        ws = bench([pump(x=50.0), mirror("m", ComponentKind.MIRROR_OC, 300.0, tilt_h_deg=2.0),
+                    camera("a", 10.0, y=-20.0), camera("b", 10.0, y=-20.0)])
+    else:
+        ws = bench([pump(), camera("a", 300.0), camera("b", 300.0), camera("c", 500.0)])
+    comps = ws.components
+    if order == "reversed":
+        comps = comps[::-1]
+    elif order == "shuffled":
+        comps = comps[1::2] + comps[::2]
+    # a workspace need not be sorted: ``Workspace.from_dict`` keeps the order it reads
+    ws = dataclasses.replace(ws, components=comps)
+    first = next(c.id for c in comps if c.id in ("a", "b"))
+    hits = trace_beam(ws).hits
+    assert list(hits) == [first]
+    assert [h.n_bounces for h in hits[first]] == [int(retro)]
+
+
 def test_off_aperture_component_is_passed_by():
     ws = bench([pump(y=12.0), lens("l", 200.0, 100.0),
                 camera("cam", 400.0, body_halfwidth_mm=20.0)])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from _benches import make_cavity
+from cavforge import pipeline
 from cavforge.errors import (ConstructionError, NoLasingError,
                              NoSnapshotError, WorkspaceError)
 from cavforge.layout import default_layout, validate_layout
@@ -76,6 +77,26 @@ def test_surveillance_never_draws_a_whole_frame(state, drawn):
     state.ws = randomize_knobs(state.ws, ["ic", "oc"], 30.0, 60.0)
     surveillance_tick(state)
     assert drawn and (480, 640) not in drawn
+
+
+def test_resonator_alignment_never_draws_a_whole_frame(layout, drawn, monkeypatch):
+    # The reference is drawn before each alignment starts, so every spot
+    # drawn during it comes from an objective evaluation's live frame.
+    objective_draws = []
+    align_resonator = pipeline.align_resonator
+
+    def recorded(ws, mirror_id, camera_id, reference, *args, **kwargs):
+        reference.intensities
+        mark = len(drawn)
+        out = align_resonator(ws, mirror_id, camera_id, reference, *args, **kwargs)
+        objective_draws.append(drawn[mark:])
+        return out
+
+    monkeypatch.setattr(pipeline, "align_resonator", recorded)
+    run_construction(layout, 42)
+    assert len(objective_draws) == 2  # the output coupler, then the input mirror
+    for shapes in objective_draws:
+        assert shapes and (480, 640) not in shapes
 
 
 def test_surveillance_requires_a_completed_build(state):

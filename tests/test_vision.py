@@ -11,7 +11,7 @@ from cavforge.errors import WorkspaceError
 from cavforge.physics import CameraFrame, CameraHit, render_frame
 from cavforge.vision import (DETECTION_FACTOR, BeamStats, beam_stats,
                              centroid, emission_score, log_transform,
-                             subtract_reference)
+                             reflection_centroid, subtract_reference)
 
 
 def _frame(values):
@@ -64,6 +64,8 @@ def test_subtract_reference_clamps_at_zero():
 def test_subtract_reference_rejects_shape_mismatch():
     with pytest.raises(WorkspaceError):
         subtract_reference(_frame([[0.1, 0.2]]), _frame([[0.1]]))
+    with pytest.raises(WorkspaceError, match="frame shapes differ"):
+        reflection_centroid(_frame([[0.1, 0.2]]), _frame([[0.1]]))
 
 
 def test_centroid_detection_gate():
@@ -120,10 +122,20 @@ def test_emission_score_forms_and_missing_reference():
 
 
 
+def _spot_frame(cam, spots):
+    """A fresh, undrawn frame of ``spots`` (as drawn from ``_spots``) on ``cam``."""
+    width, height = cam.param("width_px"), cam.param("height_px")
+    pitch = cam.param("pixel_pitch_mm")
+    hits = [CameraHit("cam", fx * width * pitch, fy * height * pitch,
+                      waist_px * pitch, power, "pump", 0, mode_order=order)
+            for fx, fy, waist_px, power, order in spots]
+    return render_frame(hits, cam)
+
+
 # one spot: centre offset from the sensor centre in frame sizes (up to two
-# frames past the edge, or close to the centre so that spots overlap), waist
-# in pixels, power (above 1 the clip bites), mode order
-_near = st.sampled_from([0.0, 0.02, -0.05])
+# frames past the edge, on the edge, or close to the centre so that spots
+# overlap), waist in pixels, power (above 1 the clip bites), mode order
+_near = st.sampled_from([0.0, 0.02, -0.05, -0.5, 0.5])
 _spots = st.lists(st.tuples(st.one_of(_near, st.floats(-2.5, 2.5)),
                             st.one_of(_near, st.floats(-2.5, 2.5)),
                             st.floats(0.3, 30.0), st.floats(0.0, 3.0),
@@ -140,11 +152,27 @@ _spots = st.lists(st.tuples(st.one_of(_near, st.floats(-2.5, 2.5)),
 def test_window_moments_equal_the_drawn_frame_bit_for_bit(height, width, spots,
                                                           floor, sigma_ref_px):
     cam, _ = camera("cam", 0.0, width_px=width, height_px=height)
-    pitch = cam.param("pixel_pitch_mm")
-    hits = [CameraHit("cam", fx * width * pitch, fy * height * pitch,
-                      waist_px * pitch, power, "pump", 0, mode_order=order)
-            for fx, fy, waist_px, power, order in spots]
-    drawn = CameraFrame(render_frame(hits, cam).intensities.copy(), pitch, "cam")
-    assert repr(beam_stats(render_frame(hits, cam), floor, sigma_ref_px)) == \
+    drawn = CameraFrame(_spot_frame(cam, spots).intensities.copy(),
+                        cam.param("pixel_pitch_mm"), "cam")
+    assert repr(beam_stats(_spot_frame(cam, spots), floor, sigma_ref_px)) == \
         repr(beam_stats(drawn, floor, sigma_ref_px))
-    assert repr(centroid(render_frame(hits, cam), floor)) == repr(centroid(drawn, floor))
+    assert repr(centroid(_spot_frame(cam, spots), floor)) == repr(centroid(drawn, floor))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 50), _spots, _spots,
+       st.one_of(st.just(10.0), st.floats(0.01, 1000.0)),
+       st.sampled_from([0.0, 0.02, 0.3, 1.0 - 1e-9, 1.0]),
+       st.one_of(st.none(), st.floats(0.0, 2.0)))
+def test_reflection_centroid_equals_the_full_frame_composition(
+        height, width, live_spots, reference_spots, gain, floor, reference_scale):
+    cam, _ = camera("cam", 0.0, width_px=width, height_px=height)
+    reference = _spot_frame(cam, reference_spots)
+    if reference_scale is not None:
+        reference = reference.scaled(reference_scale)
+    reference_log = log_transform(reference, gain)
+    # two fresh frames: one drawn whole by the composition, one left to the window
+    whole = subtract_reference(log_transform(_spot_frame(cam, live_spots), gain),
+                               reference_log)
+    assert repr(reflection_centroid(_spot_frame(cam, live_spots), reference_log, gain,
+                                    floor)) == repr(centroid(whole, floor))
