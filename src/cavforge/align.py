@@ -11,6 +11,7 @@ rule. Both report their history through :class:`OptTrace`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -320,8 +321,12 @@ class GaussianProcess:
         self._X = None
 
     def _kernel(self, a, b):
-        d2 = cdist(a, b, metric="sqeuclidean")
-        return np.exp(-0.5 * d2 / (self.length_scale ** 2))
+        # exp(-0.5 * d2 / l^2) in place, its operations in that order so
+        # the bits match the expression
+        k = cdist(a, b, metric="sqeuclidean")
+        k *= -0.5
+        k /= self.length_scale ** 2
+        return np.exp(k, out=k)
 
     def fit(self, X, y):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -334,29 +339,39 @@ class GaussianProcess:
             self._sf2 = 1.0
         noise = (self.noise_scale * float(np.ptp(y))) ** 2 + 1e-10 * self._sf2
         K = self._sf2 * self._kernel(X, X) + noise * np.eye(len(X))
-        self._factor, _ = cho_factor(K, lower=True)
-        # The LAPACK routine cho_solve calls, without its per-call wrappers.
-        self._potrs, = get_lapack_funcs(("potrs",), (self._factor,))
-        self._alpha = self._solve(np.asarray_chkfinite(centered))
+        factor, _ = cho_factor(K, lower=True)
+        # The LAPACK routines cho_solve and solve_triangular call, without
+        # their per-call wrappers.
+        potrs, trtrs = get_lapack_funcs(("potrs", "trtrs"), (factor,))
+        self._alpha = _lapack(potrs, factor, np.asarray_chkfinite(centered),
+                              lower=True)
+        # K = L L^T, so Ks K^-1 Ks^T = W W^T with W = Ks L^-T: predict gets
+        # every row's variance from one matrix product with this factor.
+        self._inv_factor_t = _lapack(trtrs, factor, np.eye(len(X)),
+                                     lower=True, trans=1)
         return self
 
-    def _solve(self, b):
-        """K^-1 b from the stored factor. ``b`` is not checked: a non-finite
-        ``b`` gives a non-finite result."""
-        x, info = self._potrs(self._factor, b, lower=True)
-        if info != 0:
-            raise ValueError(f"illegal value in {-info}th argument of internal potrs")
-        return x
-
-    def predict(self, Xs):
+    def predict(self, Xs, mean_only=False):
+        """Posterior mean and standard deviation at each row of ``Xs``, or
+        the mean alone when ``mean_only`` is set."""
         if self._X is None:
             raise WorkspaceError("predict before fit")
         Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
-        Ks = self._sf2 * self._kernel(Xs, self._X)
-        mu = self._mean + Ks @ self._alpha
-        v = self._solve(np.asarray_chkfinite(Ks.T))
-        var = self._sf2 - np.einsum("ij,ji->i", Ks, v)
+        Ks = self._kernel(Xs, self._X)
+        Ks *= self._sf2
+        mu = self._mean + np.asarray_chkfinite(Ks) @ self._alpha
+        if mean_only:
+            return mu
+        W = Ks @ self._inv_factor_t
+        var = self._sf2 - np.einsum("ij,ij->i", W, W)
         return mu, np.sqrt(np.clip(var, 1e-18, None))
+
+
+def _lapack(routine, *args, **kwargs):
+    x, info = routine(*args, **kwargs)
+    if info != 0:
+        raise ValueError(f"internal {routine.__name__} failed with info {info}")
+    return x
 
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -379,6 +394,16 @@ def _space_filling(rng, bounds, observed):
     return candidates[int(np.argmax(gaps))]
 
 
+@functools.cache
+def _stencil(d: int) -> np.ndarray:
+    """The pattern search's k^d offsets on [-1, 1]^d, shared read-only."""
+    k = _STENCIL_PER_AXIS if d <= 2 else _STENCIL_PER_AXIS_ABOVE_2D
+    unit = np.stack(np.meshgrid(*[np.linspace(-1.0, 1.0, k)] * d, indexing="ij"),
+                    axis=-1).reshape(-1, d)
+    unit.setflags(write=False)
+    return unit
+
+
 def _propose(rng, bounds, X, y, length_scale, noise_scale, exploit=False):
     b = np.asarray(bounds, dtype=float)
     d = b.shape[0]
@@ -393,7 +418,7 @@ def _propose(rng, bounds, X, y, length_scale, noise_scale, exploit=False):
 
     def score(points):
         if exploit:
-            return gp.predict(points)[0]
+            return gp.predict(points, mean_only=True)
         return -expected_improvement(*gp.predict(points), best)
 
     if d <= 2:
@@ -410,16 +435,19 @@ def _propose(rng, bounds, X, y, length_scale, noise_scale, exploit=False):
     # Pattern search on a k^d stencil that starts one candidate cell wide:
     # move to the stencil's best point while it beats the incumbent, halve
     # the stencil when it does not.
-    k = _STENCIL_PER_AXIS if d <= 2 else _STENCIL_PER_AXIS_ABOVE_2D
-    unit = np.stack(np.meshgrid(*[np.linspace(-1.0, 1.0, k)] * d, indexing="ij"),
-                    axis=-1).reshape(-1, d)
+    unit = _stencil(d)
     half = (hi - lo) / cells
+    points = np.empty_like(unit)
     for _ in range(_STENCIL_ROUNDS):
-        points = np.clip(pick + half * unit, lo, hi)
+        # np.clip(pick + half * unit, lo, hi), formed in one reused buffer
+        np.multiply(half, unit, out=points)
+        np.add(pick, points, out=points)
+        np.maximum(points, lo, out=points)
+        np.minimum(points, hi, out=points)
         scored = score(points)
         i = int(np.argmin(scored))
         if scored[i] < value:
-            pick, value = points[i], scored[i]
+            pick, value = points[i].copy(), scored[i]
         else:
             half = half / 2.0
     span = float(np.mean(hi - lo))

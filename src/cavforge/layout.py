@@ -101,7 +101,7 @@ def _require_number(value, where, allowed=ANY) -> float:
     return float(value)
 
 
-def _check(value, kind, allowed, where):
+def check_value(value, kind, allowed, where):
     """Raise LayoutError unless ``value`` is a ``kind`` that ``allowed`` admits.
 
     ``float`` takes any finite number and ``int`` an integer, inside the
@@ -128,7 +128,7 @@ def _check(value, kind, allowed, where):
 def check_seed(seed) -> None:
     """Raise LayoutError unless ``seed`` is a value the layout's ``seed`` admits."""
     kind, _, allowed = _SETTINGS["seed"]
-    _check(seed, kind, allowed, "seed")
+    check_value(seed, kind, allowed, "seed")
 
 
 def validate_layout(data: dict) -> Layout:
@@ -147,14 +147,14 @@ def validate_layout(data: dict) -> Layout:
     settings = {}
     for name, (kind, default, allowed) in _SETTINGS.items():
         settings[name] = data.get(name, default)
-        _check(settings[name], kind, allowed, name)
+        check_value(settings[name], kind, allowed, name)
     try:
         (xmin, xmax), (ymin, ymax) = data.get("table_bounds_mm", DEFAULT_TABLE_BOUNDS)
     except (TypeError, ValueError) as exc:
         raise LayoutError("table_bounds_mm must be [[xmin,xmax],[ymin,ymax]]") from exc
     bounds = ((xmin, xmax), (ymin, ymax))
     for pair in bounds:
-        _check(pair, tuple, ANY, "table_bounds_mm")
+        check_value(pair, tuple, ANY, "table_bounds_mm")
 
     physics = _validate_physics(data.get("physics", {}))
 
@@ -220,7 +220,7 @@ def validate_component(kind, params, where) -> ComponentKind:
         raise LayoutError(f"{where} ({kind.value}) has unknown params: {sorted(unknown)}")
     for key, value in params.items():
         ptype, _, allowed = declared[key]
-        _check(value, ptype, allowed, f"{where}.{key}")
+        check_value(value, ptype, allowed, f"{where}.{key}")
     if kind == ComponentKind.LENS and "focal_length_mm" not in params:
         raise LayoutError(f"{where}: lens needs focal_length_mm")
     t, r = params.get("pump_transmission"), params.get("pump_reflectivity")
@@ -237,7 +237,7 @@ def _validate_physics(raw) -> PhysicsConfig:
     if unknown:
         raise LayoutError(f"unknown physics fields: {sorted(unknown)}")
     for name, value in raw.items():
-        _check(value, *_PHYSICS_FIELDS[name], f"physics.{name}")
+        check_value(value, *_PHYSICS_FIELDS[name], f"physics.{name}")
     return replace(PhysicsConfig(), **{
         name: tuple(value) if isinstance(value, list) else value
         for name, value in raw.items()})

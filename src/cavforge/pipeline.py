@@ -41,12 +41,17 @@ from .layout import (
     SCHEMA_VERSION,
     Layout,
     build_workspace,
+    check_value,
     validate_component,
     validate_layout,
 )
 from .physics import camera_view, cavity_response, trace_beam
 from .simcore import (
+    ANY,
+    NONNEGATIVE,
+    POSITIVE,
     ComponentKind,
+    KnobPair,
     Pose,
     Workspace,
     apply_knob_readings,
@@ -166,18 +171,34 @@ class PipelineState:
                               f"got {d.get('schema_version')!r}")
         layout = validate_layout(d["layout"])
         try:
-            for i, comp in enumerate(d["workspace"]["components"]):
-                validate_component(comp["kind"], comp.get("params", {}),
-                                   f"workspace.components[{i}]")
+            saved = d["workspace"]
+            for i, comp in enumerate(saved["components"]):
+                where = f"workspace.components[{i}]"
+                validate_component(comp["kind"], comp.get("params", {}), where)
+                check_value(comp["id"], str, None, f"{where}.id")
+                knobs = comp.get("knobs", {})
+                for f in dataclasses.fields(KnobPair):
+                    if f.name in knobs:
+                        allowed = POSITIVE if f.name == "tilt_per_turn_deg" else ANY
+                        check_value(knobs[f.name], float, allowed,
+                                    f"{where}.knobs.{f.name}")
+            check_value(saved["action_count"], int, NONNEGATIVE,
+                        "workspace.action_count")
+            if d.get("baseline") is not None:
+                # recovery divides by the objective and scores against the width
+                for key in ("objective", "sigma_px"):
+                    check_value(d["baseline"][key], float, POSITIVE,
+                                f"baseline.{key}")
             return cls(
-                ws=Workspace.from_dict(d["workspace"], physics=layout.physics),
+                ws=Workspace.from_dict(saved, physics=layout.physics),
                 layout=layout,
                 seed=int(d["seed"]),
                 current_step=int(d["current_step"]),
                 baseline=d.get("baseline"),
                 log=list(d.get("log", [])),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        # the bit generator rejects an out-of-range rng_state with OverflowError
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise LayoutError(f"saved workspace does not decode: "
                               f"{type(exc).__name__}: {exc}") from exc
 

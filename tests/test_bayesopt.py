@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
 from cavforge.align import (_LHS_CANDIDATES, _MESH_PER_AXIS, GaussianProcess,
@@ -47,9 +48,48 @@ def test_gp_validation():
         GaussianProcess(length_scale=0.0)
     with pytest.raises(WorkspaceError):
         GaussianProcess(length_scale=1.0).predict([[0.0]])
+    with pytest.raises(WorkspaceError):
+        GaussianProcess(length_scale=1.0).predict([[0.0]], mean_only=True)
     gp = GaussianProcess(length_scale=1.0).fit([[0.0], [1.0]], [0.0, 1.0])
     with pytest.raises(ValueError):
         gp.predict([[math.nan]])
+    with pytest.raises(ValueError):
+        gp.predict([[0.5], [math.nan]], mean_only=True)
+
+
+def _potrs_variance(X, y, Xs, length_scale, noise_scale=1e-4):
+    """Reference posterior variance: the GP's covariance written out, and
+    diag(Ks K^-1 Ks^T) from two triangular solves (LAPACK potrs)."""
+    centered = y - y.mean()
+    sf2 = float(centered.var()) or 1.0
+    noise = (noise_scale * float(np.ptp(y))) ** 2 + 1e-10 * sf2
+    K = sf2 * np.exp(-0.5 * cdist(X, X, "sqeuclidean") / length_scale ** 2) \
+        + noise * np.eye(len(X))
+    Ks = sf2 * np.exp(-0.5 * cdist(Xs, X, "sqeuclidean") / length_scale ** 2)
+    solved = cho_solve(cho_factor(K, lower=True), Ks.T)
+    return sf2 - np.einsum("ij,ji->i", Ks, solved), sf2
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_gp_variance_matches_two_triangular_solves(seed):
+    rng = np.random.default_rng(1000 + seed)
+    d = int(rng.integers(1, 5))
+    n = int(rng.integers(2, 61))
+    X = rng.uniform(-3.0, 3.0, (n, d))
+    if seed % 3 == 0:  # near-duplicate observations: K is nearly singular
+        k = int(rng.integers(1, n + 1))
+        X[rng.integers(0, n, k)] = X[rng.integers(0, n, k)] \
+            + rng.normal(0.0, 1e-9, (k, d))
+    y = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    length_scale = float(10.0 ** rng.uniform(-0.5, 0.7))
+    Xs = np.vstack([rng.uniform(-3.5, 3.5, (200, d)),
+                    X + rng.normal(0.0, 1e-7, X.shape)])
+    gp = GaussianProcess(length_scale).fit(X, y)
+    mu, sigma = gp.predict(Xs)
+    reference, sf2 = _potrs_variance(X, y, Xs, length_scale)
+    np.testing.assert_allclose(sigma ** 2, np.clip(reference, 1e-18, None),
+                               rtol=0.0, atol=1e-10 * sf2)
+    np.testing.assert_array_equal(gp.predict(Xs, mean_only=True), mu)
 
 
 def _observations(seed, d, slope=False):
@@ -108,6 +148,30 @@ def test_proposals_draw_nothing_up_to_two_dimensions(d):
     state = copy.deepcopy(rng.bit_generator.state)
     _propose(rng, bounds, X, [1.0] * len(X), 1.2, 1e-4)
     assert rng.bit_generator.state != state
+
+
+@pytest.mark.parametrize("d, candidates, stencil", [
+    (2, 64 ** 2, 9 ** 2),   # the mesh, then 9 x 9 stencils
+    (4, 4096, 5 ** 4),      # Latin-hypercube candidates, then 5^4 stencils
+], ids=["2d", "4d"])
+def test_every_proposal_scores_its_full_candidate_and_stencil_rows(
+        monkeypatch, d, candidates, stencil):
+    calls = []
+    predict = GaussianProcess.predict
+
+    def counted(self, Xs, *args, **kwargs):
+        calls.append(len(Xs))
+        return predict(self, Xs, *args, **kwargs)
+
+    monkeypatch.setattr(GaussianProcess, "predict", counted)
+    objective = _bowl if d == 2 else _bump
+    _, _, trace = bayesian_optimize(
+        objective, [(-3.0, 3.0)] * d, np.random.default_rng(4),
+        max_iters=14, init_samples=6, length_scale=1.2, exploit_every=2)
+    proposals = len(trace.iterations) - 6
+    assert proposals == 8  # four expected-improvement, four posterior-mean
+    # the candidates, then eight stencil rounds
+    assert calls == ([candidates] + [stencil] * 8) * proposals
 
 
 def test_expected_improvement_collapses_without_uncertainty():

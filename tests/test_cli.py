@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from cavforge import cli
+from cavforge.pipeline import PipelineState
 
 
 def _run(argv):
@@ -290,6 +291,56 @@ def test_saved_rng_state_that_does_not_decode_exits_2(built_dir, tmp_path, capsy
     _assert_exit_2(argv + ["--out", str(tmp_path)], capsys, "PCG64")
     assert (tmp_path / "state.json").read_text() == saved
     assert not (tmp_path / "cam1_step12.pgm").exists()
+
+
+def test_saved_state_round_trips_byte_for_byte(built_dir, tmp_path):
+    saved = (built_dir / "state.json").read_bytes()
+    state = PipelineState.from_dict(json.loads(saved))
+    cli._write_json(tmp_path / "state.json", state.to_dict())
+    assert (tmp_path / "state.json").read_bytes() == saved
+
+
+def _set_field(path, value):
+    """An edit that sets the saved field at a dotted path ("a.0.b") to value."""
+    def edit(state):
+        *parents, leaf = [int(k) if k.isdigit() else k for k in path.split(".")]
+        node = state
+        for key in parents:
+            node = node[key]
+        node[leaf] = value
+    return edit
+
+
+@pytest.mark.parametrize("path, value, words", [
+    ("baseline.objective", "x", "baseline.objective must be a finite number"),
+    ("baseline.objective", None, "baseline.objective must be a finite number"),
+    ("baseline.objective", 0.0, "baseline.objective must be > 0.0"),
+    ("baseline.sigma_px", "x", "baseline.sigma_px must be a finite number"),
+    ("baseline.sigma_px", None, "baseline.sigma_px must be a finite number"),
+    ("workspace.action_count", "x", "workspace.action_count must be an integer"),
+    ("workspace.action_count", None, "workspace.action_count must be an integer"),
+    ("workspace.action_count", -1, "workspace.action_count must be >= 0.0"),
+    ("workspace.rng_state.has_uint32", -1e308, "OverflowError"),
+    ("workspace.rng_state.uinteger", -1e308, "OverflowError"),
+    ("workspace.rng_state.state.state", -1e308, "OverflowError"),
+    ("workspace.rng_state.state.inc", -1e308, "OverflowError"),
+    ("workspace.rng_state.state.inc", -1, "OverflowError"),
+    ("workspace.components.0.id", [], "workspace.components[0].id must be a string"),
+    ("workspace.components.K.knobs.h_deg", "x", ".knobs.h_deg must be a finite number"),
+    ("workspace.components.K.knobs.bias_v_deg", None,
+     ".knobs.bias_v_deg must be a finite number"),
+    ("workspace.components.K.knobs.tilt_per_turn_deg", 0.0,
+     ".knobs.tilt_per_turn_deg must be > 0.0"),
+])
+def test_a_corrupt_saved_field_exits_2(built_dir, tmp_path, capsys, path, value,
+                                       words):
+    state = json.loads((built_dir / "state.json").read_text())
+    knobbed = next(i for i, c in enumerate(state["workspace"]["components"])
+                   if "knobs" in c)
+    path = path.replace(".K.", f".{knobbed}.")  # K: the first mirror with knobs
+    _edit_state(built_dir, tmp_path, _set_field(path, value))
+    _assert_exit_2(["recover", "--out", str(tmp_path)], capsys, words)
+    assert not (tmp_path / "recovery.json").exists()
 
 
 def _checkout_env():
