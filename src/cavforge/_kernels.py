@@ -105,8 +105,8 @@ def render_spot(img, row, col):
     return img
 
 
-def frame_moments(img, floor, top=0, left=0):
-    """First and second intensity moments over above-floor pixels.
+def frame_moments(img, floor, top=0, left=0, order=2):
+    """Intensity moments over above-floor pixels, up to ``order``.
 
     ``img`` is finite (``CameraFrame`` guarantees it) and is a whole frame or
     a window of one whose first pixel sits at row ``top``, column ``left``;
@@ -117,29 +117,36 @@ def frame_moments(img, floor, top=0, left=0):
     tuple
         ``(total, cx, cy, var_x, var_y, vmax, count)`` where centroid and
         variances are in pixel-index coordinates, ``vmax`` is the maximum of
-        ``img``, and ``count`` the number of pixels above ``floor``.
+        ``img``, and ``count`` the number of pixels above ``floor``. Order 0
+        computes the total, maximum and count, order 1 adds the centroid and
+        order 2 the variances; a moment above ``order`` is None. Each one
+        computed is the same bits at every order.
     """
     img = np.asarray(img, dtype=np.float64)
     idx = np.flatnonzero(img > floor)  # row-major, the order the sums run in
     count = int(idx.size)
+    centroid = (0.0, 0.0) if order >= 1 else (None, None)
+    spread = (0.0, 0.0) if order >= 2 else (None, None)
     if count == 0:
         vmax = float(img.max()) if img.size else 0.0
-        return (0.0, 0.0, 0.0, 0.0, 0.0, vmax, 0)
+        return (0.0, *centroid, *spread, vmax, 0)
     w = img.take(idx)
     # the maximum is above the floor whenever anything is
     vmax = float(w.max())
-    width = img.shape[1]
-    rows = idx // width
-    cols = idx - rows * width
-    # whole-frame indices before the products: adding the origin to the
-    # centroid afterwards would round differently
-    rows += top
-    cols += left
     total = _seqsum(w)
-    cx = _seqsum(w * cols) / total
-    cy = _seqsum(w * rows) / total
-    dx = cols - cx
-    dy = rows - cy
-    var_x = _seqsum(w * dx * dx) / total
-    var_y = _seqsum(w * dy * dy) / total
-    return (total, cx, cy, var_x, var_y, vmax, count)
+    if order >= 1:
+        width = img.shape[1]
+        rows = idx // width
+        cols = idx - rows * width
+        # whole-frame indices before the products: adding the origin to the
+        # centroid afterwards would round differently
+        rows += top
+        cols += left
+        cx = _seqsum(w * cols) / total
+        cy = _seqsum(w * rows) / total
+        centroid = (cx, cy)
+    if order >= 2:
+        dx = cols - cx
+        dy = rows - cy
+        spread = (_seqsum(w * dx * dx) / total, _seqsum(w * dy * dy) / total)
+    return (total, *centroid, *spread, vmax, count)

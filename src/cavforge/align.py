@@ -34,6 +34,7 @@ from .vision import (
     beam_stats,
     centroid,
     emission_score,
+    intensity_score,
     log_transform,
     reflection_centroid,
     sensor_center_px,
@@ -69,6 +70,9 @@ class OptTrace:
     best_objective: float = math.inf
     wall_actions: int = 0
     meta: dict = field(default_factory=dict)
+    # (workspace, camera frame) of the last measurement, so a caller need
+    # not draw that bench state again; not part of ``summary()``
+    last_view: tuple | None = field(default=None, repr=False, compare=False)
 
     def record(self, params, objective) -> None:
         objective = float(objective)
@@ -162,7 +166,8 @@ def spatial_optimize(ws: Workspace, component_id: str, camera_id: str,
     Table y maps to the sensor x axis; one Newton loop walks the spot's
     sensor-x offset to zero. The default tolerance is the spot's 1/e^2
     radius as first measured. Returns the adjusted workspace and a trace of
-    every measurement; each trace entry is one rendered frame.
+    every measurement; each trace entry is one rendered frame, and the
+    trace's ``last_view`` holds the last, which shows the returned workspace.
     """
     cfg = cfg or SpatialOptConfig()
     if _PROBE_MM <= ws.placement_noise_sigma:
@@ -173,27 +178,33 @@ def spatial_optimize(ws: Workspace, component_id: str, camera_id: str,
     state = {"ws": ws}
     trace = OptTrace(method="newton")
 
-    def snap():
+    def snap(read=centroid):
         frame = camera_view(state["ws"], camera_id)
-        stats = beam_stats(frame)
-        if not stats.detected:
+        spot = read(frame)
+        if not spot.detected:
             raise BeamLostError(
                 f"no spot on {camera_id} while adjusting {component_id}")
-        return frame, stats
+        trace.last_view = (state["ws"], frame)
+        return frame, spot
 
-    frame, stats = snap()
-    target = tuple(target_px) if target_px is not None else sensor_center_px(frame)
-    pitch = frame.pixel_pitch_mm
+    # Only the default tolerance needs the spot's width.
     tolerance = cfg.tolerance_mm
     if tolerance is None:
-        tolerance = 2.0 * max(stats.sigma_px) * pitch
+        frame, stats = snap(beam_stats)
+        x_px = stats.centroid_px[0]
+        tolerance = 2.0 * max(stats.sigma_px) * frame.pixel_pitch_mm
+    else:
+        frame, spot = snap()
+        x_px = spot.x_px
+    target = tuple(target_px) if target_px is not None else sensor_center_px(frame)
+    pitch = frame.pixel_pitch_mm
 
     # The frame that set the target is also the loop's first measurement.
-    pending = [stats]
+    pending = [x_px]
 
     def measure():
-        stats = pending.pop() if pending else snap()[1]
-        err = (stats.centroid_px[0] - target[0]) * pitch
+        x_px = pending.pop() if pending else snap()[1].x_px
+        err = (x_px - target[0]) * pitch
         trace.record((state["ws"].component(component_id).pose.y,), abs(err))
         return err
 
@@ -255,21 +266,21 @@ def measure_beam_path(ws: Workspace, camera_id: str):
     The camera visits the stations ``_SURVEY_OFFSETS_MM`` before its home
     station. At every station it is first recentered on the beam (its own
     spatial loop, which is a no-op when the spot is already near center),
-    then the beam's absolute transverse position is read as the camera pose
-    plus the residual centroid offset; pose readback is exact, so grip noise
-    on the camera drops out of the fit. The camera returns to its home
-    station afterwards. Returns the (moved) workspace and the fitted line.
+    then the beam's absolute transverse position is read, from that loop's
+    last frame, as the camera pose plus the residual centroid offset; pose
+    readback is exact, so grip noise on the camera drops out of the fit. The
+    camera returns to its home station afterwards. Returns the (moved)
+    workspace and the fitted line.
     """
     cam = ws.component(camera_id)
     home = cam.pose
     xs, ys = [], []
     for x in (home.x - d for d in _SURVEY_OFFSETS_MM):
         ws = move_component(ws, camera_id, home.shifted(dx=x - home.x))
-        ws, _ = spatial_optimize(ws, camera_id, camera_id)
-        frame = camera_view(ws, camera_id)
+        ws, trace = spatial_optimize(ws, camera_id, camera_id)
+        # the loop ends on a measurement of ``ws``, whose spot it detected
+        _, frame = trace.last_view
         spot = centroid(frame)
-        if not spot.detected:
-            raise BeamLostError(f"no spot on {camera_id} at x={x:.1f}")
         pose = ws.component(camera_id).pose
         center_x, _ = sensor_center_px(frame)
         xs.append(pose.x)
@@ -356,10 +367,11 @@ class GaussianProcess:
         the mean alone when ``mean_only`` is set."""
         if self._X is None:
             raise WorkspaceError("predict before fit")
-        Xs = np.atleast_2d(np.asarray(Xs, dtype=float))
+        # an infinite row would score as the prior, a NaN one as NaN
+        Xs = np.asarray_chkfinite(np.atleast_2d(np.asarray(Xs, dtype=float)))
         Ks = self._kernel(Xs, self._X)
         Ks *= self._sf2
-        mu = self._mean + np.asarray_chkfinite(Ks) @ self._alpha
+        mu = self._mean + Ks @ self._alpha
         if mean_only:
             return mu
         W = Ks @ self._inv_factor_t
@@ -656,7 +668,8 @@ def optimize_mode(ws: Workspace, mirror_ids, camera_id: str,
     scores zero. The box spans ``span_deg`` either side of each starting
     reading. Stops early once the score reaches ``success_value``. The
     trace's ``meta`` names the objective and the reference width, ``None``
-    when the score is the intensity alone.
+    when the score is the intensity alone. Its ``last_view`` holds the last
+    evaluation's workspace and frame.
     """
     if objective_kind not in ("sqrtI_over_M2", "I_over_M2"):
         raise WorkspaceError(f"unknown objective kind {objective_kind!r}")
@@ -674,9 +687,14 @@ def optimize_mode(ws: Workspace, mirror_ids, camera_id: str,
     def objective(readings):
         apply(readings)
         frame = camera_view(state["ws"], camera_id)
-        stats = beam_stats(frame, sigma_ref_px=sigma_ref_px)
+        state["view"] = (state["ws"], frame)
+        if sigma_ref_px is None:
+            score = intensity_score(frame, root=root)
+        else:
+            score = emission_score(beam_stats(frame, sigma_ref_px=sigma_ref_px),
+                                   root=root)
         # 0.0 - score negates exactly, and keeps a dark frame at +0.0
-        return 0.0 - emission_score(stats, root=root)
+        return 0.0 - score
 
     bounds = [(r - span_deg, r + span_deg)
               for cid in mirror_ids for r in start[cid]]
@@ -686,6 +704,7 @@ def optimize_mode(ws: Workspace, mirror_ids, camera_id: str,
         max_iters=max_iters, init_samples=init_samples,
         length_scale=length_scale_deg, success_cost=success_cost)
     apply(best)
+    trace.last_view = state["view"]
     trace.wall_actions = state["ws"].action_count - actions0
     trace.meta.update(camera=camera_id,
                       knob_axes=[[cid, axis] for cid in mirror_ids for axis in ("h", "v")],

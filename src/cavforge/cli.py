@@ -26,9 +26,8 @@ import numpy as np
 from . import trials
 from .errors import CavforgeError, ConstructionError, LayoutError
 from .frameio import write_csv, write_pgm
-from .layout import (apply_overrides, check_seed, default_layout, read_layout,
-                     validate_layout)
-from .physics import camera_view
+from .layout import (apply_overrides, check_seed, check_value, default_layout,
+                     read_layout, validate_layout)
 from .pipeline import (
     PipelineState,
     measure_power_curve,
@@ -37,7 +36,8 @@ from .pipeline import (
     run_construction,
     surveillance_tick,
 )
-from .simcore import ComponentKind, inject_displacement, randomize_knobs
+from .simcore import (KNOB_SPAN_DEG, ComponentKind, Interval, inject_displacement,
+                      randomize_knobs)
 
 
 def _load_layout(args):
@@ -86,7 +86,7 @@ def _write_jsonl(path, records) -> None:
 def _write_frames(out: Path, state: PipelineState, raw_csv: bool = False) -> list:
     written = []
     for cam in state.ws.find_kind(ComponentKind.CAMERA):
-        frame = camera_view(state.ws, cam.id)
+        frame = state.view(cam.id)
         path = out / f"{cam.id}_step{state.current_step}.pgm"
         write_pgm(frame, path)
         written.append(path.name)
@@ -129,6 +129,8 @@ def cmd_perturb(args) -> int:
         state.ws = inject_displacement(state.ws, args.component_id,
                                        dx=args.dx, dy=args.dy)
     else:
+        check_value(args.min_deg, float, KNOB_SPAN_DEG, "--min")
+        check_value(args.max_deg, float, Interval(args.min_deg, KNOB_SPAN_DEG.hi), "--max")
         mirrors = [c.id for c in state.ws.components if c.knobs is not None]
         state.ws = randomize_knobs(state.ws, mirrors, args.min_deg, args.max_deg)
     tick = surveillance_tick(state)

@@ -17,8 +17,8 @@ from typing import get_type_hints
 
 from .errors import LayoutError
 from .physics import PhysicsConfig
-from .simcore import (ANY, COMPONENT_PARAMS, DEFAULT_TABLE_BOUNDS, NONNEGATIVE, POSITIVE,
-                      Component, ComponentKind, KnobPair, Pose, Workspace,
+from .simcore import (ANY, COMPONENT_PARAMS, DEFAULT_TABLE_BOUNDS, NONNEGATIVE,
+                      TILT_PER_TURN, Component, ComponentKind, KnobPair, Pose, Workspace,
                       rng_state_from_seed)
 
 SCHEMA_VERSION = 1
@@ -28,7 +28,7 @@ SCHEMA_VERSION = 1
 _SETTINGS = {
     "seed": (int, 0, NONNEGATIVE),
     "placement_noise_sigma_mm": (float, Workspace.placement_noise_sigma, NONNEGATIVE),
-    "tilt_per_turn_deg": (float, KnobPair.tilt_per_turn_deg, POSITIVE),
+    "tilt_per_turn_deg": (float, KnobPair.tilt_per_turn_deg, TILT_PER_TURN),
 }
 _TOP_FIELDS = {"schema_version", *_SETTINGS, "table_bounds_mm", "physics", "components"}
 _RECORD_FIELDS = {

@@ -45,11 +45,12 @@ from .layout import (
     validate_component,
     validate_layout,
 )
-from .physics import camera_view, cavity_response, trace_beam
+from .physics import CameraFrame, camera_view, cavity_response, trace_beam
 from .simcore import (
-    ANY,
+    KNOB_DEG,
     NONNEGATIVE,
     POSITIVE,
+    TILT_PER_TURN,
     ComponentKind,
     KnobPair,
     Pose,
@@ -134,7 +135,9 @@ class PipelineState:
 
     ``current_step`` is the last completed step (0 before any). Reference
     frames are keyed by camera id and live only in memory; the baseline
-    record exists exactly when the final step has completed.
+    record exists exactly when the final step has completed. The last frame
+    of each camera is held too (see :meth:`view`); a copy made with
+    ``dataclasses.replace`` starts without any.
     """
 
     ws: Workspace
@@ -144,6 +147,28 @@ class PipelineState:
     reference_frames: dict = dataclasses.field(default_factory=dict)
     baseline: dict | None = None
     log: list = dataclasses.field(default_factory=list)
+    # camera id -> (components, physics, frame drawn from them)
+    _views: dict = dataclasses.field(default_factory=dict, init=False,
+                                     repr=False, compare=False)
+
+    def view(self, camera_id: str) -> CameraFrame:
+        """What ``camera_id`` sees on the bench now.
+
+        The frame held for the camera is returned while the bench's
+        components and physics equal the ones it was drawn from, which are
+        all a frame depends on; otherwise a new frame is drawn and held.
+        """
+        held = self._views.get(camera_id)
+        if (held is not None and held[0] == self.ws.components
+                and held[1] == self.ws.physics):
+            return held[2]
+        frame = camera_view(self.ws, camera_id)
+        self.hold(self.ws, frame)
+        return frame
+
+    def hold(self, ws: Workspace, frame: CameraFrame) -> None:
+        """Keep ``frame``, drawn from ``ws``, for :meth:`view` to reuse."""
+        self._views[frame.camera_id] = (ws.components, ws.physics, frame)
 
     def log_event(self, step, action, measurement=None) -> None:
         self.log.append({
@@ -179,7 +204,8 @@ class PipelineState:
                 knobs = comp.get("knobs", {})
                 for f in dataclasses.fields(KnobPair):
                     if f.name in knobs:
-                        allowed = POSITIVE if f.name == "tilt_per_turn_deg" else ANY
+                        allowed = (TILT_PER_TURN if f.name == "tilt_per_turn_deg"
+                                   else KNOB_DEG)
                         check_value(knobs[f.name], float, allowed,
                                     f"{where}.knobs.{f.name}")
             check_value(saved["action_count"], int, NONNEGATIVE,
@@ -286,6 +312,7 @@ def _center(state: PipelineState, step, part: str, camera_id: str, cfg,
     format string ``stalled`` may use ``part``, ``camera`` and ``error_mm``."""
     state.ws, trace = spatial_optimize(state.ws, part, camera_id,
                                        target_px=target_px, cfg=cfg)
+    state.hold(*trace.last_view)
     state.log_event(step, f"spatial optimize {part}", trace.summary())
     if not trace.converged:
         raise ConstructionError(step, stalled.format(
@@ -293,7 +320,7 @@ def _center(state: PipelineState, step, part: str, camera_id: str, cfg,
 
 
 def _capture_reference(state: PipelineState, step, camera_id: str) -> None:
-    frame = camera_view(state.ws, camera_id)
+    frame = state.view(camera_id)
     stats = beam_stats(frame)
     if stats.saturated:
         raise SaturationError(f"reference frame on {camera_id} is saturated")
@@ -324,7 +351,7 @@ def _align_retro(state: PipelineState, step, rng, mirror: str, camera_id: str,
 
 
 def _expect_dark(state: PipelineState, step, camera_id: str, why: str) -> None:
-    if centroid(camera_view(state.ws, camera_id)).detected:
+    if centroid(state.view(camera_id)).detected:
         raise ConstructionError(step, why)
 
 
@@ -349,7 +376,7 @@ def _step_cams_ndf(state: PipelineState, step, rng, ctx) -> None:
     cam_main, cam_arm, ndf = _need(ctx["roles"], "cam_main", "cam_arm", "ndf")
     _place(state, step, cam_main)
     _place(state, step, ndf)
-    stats = beam_stats(camera_view(state.ws, cam_main))
+    stats = beam_stats(state.view(cam_main))
     if stats.saturated:
         raise SaturationError(
             f"{cam_main} saturates even with {ndf} in the beam; "
@@ -369,7 +396,7 @@ def _step_cams_ndf(state: PipelineState, step, rng, ctx) -> None:
 
 def _step_place_oc(state: PipelineState, step, rng, ctx) -> None:
     cam_main, oc = _need(ctx["roles"], "cam_main", "oc")
-    spot = centroid(camera_view(state.ws, cam_main))
+    spot = centroid(state.view(cam_main))
     if not spot.detected:
         raise BeamLostError(f"no reference spot on {cam_main}")
     _place(state, step, oc, ctx["fit"])
@@ -408,7 +435,7 @@ def _step_place_lens(state: PipelineState, step, rng, ctx) -> None:
     bs, lens, cam_main = _need(ctx["roles"], "bs", "lens", "cam_main")
     state.ws = park_component(state.ws, bs)
     state.log_event(step, f"park {bs}")
-    spot = centroid(camera_view(state.ws, cam_main))
+    spot = centroid(state.view(cam_main))
     if not spot.detected:
         raise BeamLostError(f"no spot on {cam_main} after removing {bs}")
     _place(state, step, lens, ctx["fit"])
@@ -445,7 +472,7 @@ def _step_place_crystal(state: PipelineState, step, rng, ctx) -> None:
     state.ws, theta, sweep = crystal_sweep(state.ws, crystal, cam_main)
     state.log_event(step, f"sweep {crystal}", {
         "theta_deg": theta, "evaluations": len(sweep)})
-    frame = camera_view(state.ws, cam_main)
+    frame = state.view(cam_main)
     stats = beam_stats(frame)
     sigma_ref = float(max(stats.sigma_px)) if stats.detected else None
 
@@ -460,7 +487,7 @@ def _step_place_crystal(state: PipelineState, step, rng, ctx) -> None:
         init_samples=_MODE_INIT_SAMPLES,
         length_scale_deg=_MODE_LENGTH_SCALE_DEG, sigma_ref_px=sigma_ref)
     reverted = False
-    if score(camera_view(state.ws, cam_main)) < incoming_score:
+    if score(state.view(cam_main)) < incoming_score:
         # The optimizer applies the best point it sampled, which is not
         # guaranteed to beat the pre-search alignment; keep the better one.
         state.ws = apply_knob_readings(state.ws, incoming)
@@ -480,7 +507,7 @@ def _step_verify_lasing(state: PipelineState, step, rng, ctx) -> None:
         raise ConstructionError(
             step, f"cavity lases in transverse order {cav.mode_order}, "
             "not the fundamental")
-    stats = beam_stats(camera_view(state.ws, cam_main))
+    stats = beam_stats(state.view(cam_main))
     if not stats.detected:
         raise BeamLostError(f"lasing but no spot on {cam_main}")
     state.baseline = {
@@ -617,8 +644,7 @@ def _require_complete(state: PipelineState) -> None:
 
 def _objective_ratio(state: PipelineState) -> float:
     [cam_main] = _need(resolve_roles(state.layout), "cam_main")
-    frame = camera_view(state.ws, cam_main)
-    stats = beam_stats(frame, sigma_ref_px=state.baseline["sigma_px"])
+    stats = beam_stats(state.view(cam_main), sigma_ref_px=state.baseline["sigma_px"])
     return float(emission_score(stats, root=False) / state.baseline["objective"])
 
 
@@ -738,6 +764,7 @@ def recover_drift(state: PipelineState, rng=None,
             span_deg=span, max_iters=budget,
             init_samples=min(init, budget), length_scale_deg=scale,
             objective_kind="I_over_M2", success_value=stop)
+        state.hold(*trace.last_view)
         used += len(trace)
         summaries.append(trace.summary())
         if trace.best_objective < best_cost:

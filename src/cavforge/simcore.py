@@ -153,6 +153,13 @@ OPEN_UNIT = Interval(0.0, 1.0, lo_open=True, hi_open=True)
 TRANSMITTANCE = Interval(0.0, 1.0, lo_open=True)
 # a sensor side in pixels; each spot's factors span the whole side
 SENSOR_PX = Interval(0.0, 4096.0, lo_open=True)
+# A knob's dial reading or seat bias in degrees, a million turns either way,
+# and the size of a seat jitter or disturbance. Stock runs stay within a few
+# hundred degrees; the bound keeps every tilt the optics square finite.
+KNOB_DEG = Interval(-3.6e8, 3.6e8)
+KNOB_SPAN_DEG = Interval(0.0, KNOB_DEG.hi)
+# a knob turn tilts its mirror by at most a full circle
+TILT_PER_TURN = Interval(0.0, 360.0, lo_open=True)
 
 # Every parameter a component may declare, by kind: its type, the value a
 # component that omits it reads, and the values it allows (an Interval for a
@@ -166,7 +173,7 @@ _MIRROR_PARAMS = {
     "pump_transmission": (float, 0.5, UNIT),
     "pump_reflectivity": (float, None, UNIT),
     "substrate_focal_mm": (float, None, ANY),
-    "knob_jitter_deg": (float, 0.0, NONNEGATIVE),
+    "knob_jitter_deg": (float, 0.0, KNOB_SPAN_DEG),
     "aperture_mm": (float, None, POSITIVE),
 }
 
@@ -263,8 +270,13 @@ def rng_state_from_seed(seed: int):
     return np.random.Generator(np.random.PCG64(seed)).bit_generator.state
 
 
+# Seeds each generator ``_generator`` builds, so building one draws no OS
+# entropy; the state it is given replaces the seeded one at once.
+_PLACEHOLDER_SEED = np.random.SeedSequence(0)
+
+
 def _generator(state):
-    g = np.random.Generator(np.random.PCG64())
+    g = np.random.Generator(np.random.PCG64(_PLACEHOLDER_SEED))
     g.bit_generator.state = state
     return g
 

@@ -116,7 +116,7 @@ def spatial_trials(layout: Layout, master_seed: int, n_trials: int = 20,
         try:
             ws, trace = spatial_optimize(ws, target_id, roles.cam_main,
                                          target_px=target, cfg=cfg)
-            final = centroid(camera_view(ws, roles.cam_main))
+            final = centroid(trace.last_view[1])
             err = (final.x_px - target[0]) * frame.pixel_pitch_mm
             rows.append(_row(trial=i, seed=seed, success=int(trace.converged),
                              iterations=len(trace), actions=trace.wall_actions,

@@ -99,15 +99,16 @@ def reflection_centroid(live: CameraFrame, reference_log: CameraFrame, gain: flo
     height, width = pixels.shape
     diff = np.maximum(_stretch(pixels, gain)
                       - reference[top:top + height, left:left + width], 0.0)
-    total, cx, cy, _, _, _, count = _kernels.frame_moments(diff, noise_floor, top, left)
+    total, cx, cy, _, _, _, count = _kernels.frame_moments(diff, noise_floor, top, left,
+                                                          order=1)
     return CentroidResult(_detected(total, count, noise_floor), cx, cy, total)
 
 
-def _moments(frame: CameraFrame, floor: float) -> tuple:
+def _moments(frame: CameraFrame, floor: float, order: int) -> tuple:
     # only the window can hold above-floor pixels, so its moments are the
     # frame's, bit for bit; ``vmax`` is the window's maximum
     pixels, top, left = frame.window(floor)
-    return _kernels.frame_moments(pixels, floor, top, left)
+    return _kernels.frame_moments(pixels, floor, top, left, order=order)
 
 
 def centroid(frame: CameraFrame, noise_floor: float = DEFAULT_NOISE_FLOOR) -> CentroidResult:
@@ -117,7 +118,7 @@ def centroid(frame: CameraFrame, noise_floor: float = DEFAULT_NOISE_FLOOR) -> Ce
     intensity clears ``DETECTION_FACTOR * noise_floor``, so a dark frame or
     a faint numerical tail never yields a spurious position.
     """
-    total, cx, cy, _, _, _, count = _moments(frame, noise_floor)
+    total, cx, cy, _, _, _, count = _moments(frame, noise_floor, order=1)
     return CentroidResult(_detected(total, count, noise_floor), cx, cy, total)
 
 
@@ -128,7 +129,7 @@ def _detected(total, count, noise_floor) -> bool:
 def beam_stats(frame: CameraFrame, noise_floor: float = DEFAULT_NOISE_FLOOR,
                sigma_ref_px: float | None = None) -> BeamStats:
     """Centroid, size, and beam-quality proxy of the dominant spot."""
-    total, cx, cy, var_x, var_y, vmax, count = _moments(frame, noise_floor)
+    total, cx, cy, var_x, var_y, vmax, count = _moments(frame, noise_floor, order=2)
     if count == 0 and not noise_floor < _SATURATED:
         # a window with nothing above the floor need not hold the maximum
         vmax = float(frame.intensities.max())
@@ -153,6 +154,17 @@ def emission_score(stats: BeamStats, *, root: bool) -> float:
     strength = math.sqrt(stats.total_intensity) if root else stats.total_intensity
     quality = stats.m_squared if stats.m_squared is not None else 1.0
     return strength / quality
+
+
+def intensity_score(frame: CameraFrame, *, root: bool,
+                    noise_floor: float = DEFAULT_NOISE_FLOOR) -> float:
+    """``emission_score(beam_stats(frame, noise_floor), root=root)`` bit for
+    bit, from the total alone: without a reference width the score is the
+    spot's total intensity, square-rooted when ``root``."""
+    total, _, _, _, _, _, count = _moments(frame, noise_floor, order=0)
+    if not _detected(total, count, noise_floor):
+        return 0.0
+    return math.sqrt(total) if root else total
 
 
 def sensor_center_px(frame: CameraFrame) -> tuple:

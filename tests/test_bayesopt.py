@@ -57,6 +57,17 @@ def test_gp_validation():
         gp.predict([[0.5], [math.nan]], mean_only=True)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf])
+def test_gp_predict_rejects_an_infinite_row(bad):
+    # an infinite row is as far from every point as a point can be, and
+    # would otherwise read the prior mean and variance
+    gp = GaussianProcess(length_scale=1.0).fit([[0.0], [1.0]], [0.0, 1.0])
+    with pytest.raises(ValueError):
+        gp.predict([[0.5], [bad]])
+    with pytest.raises(ValueError):
+        gp.predict([[bad]], mean_only=True)
+
+
 def _potrs_variance(X, y, Xs, length_scale, noise_scale=1e-4):
     """Reference posterior variance: the GP's covariance written out, and
     diag(Ks K^-1 Ks^T) from two triangular solves (LAPACK potrs)."""

@@ -331,6 +331,14 @@ def _set_field(path, value):
      ".knobs.bias_v_deg must be a finite number"),
     ("workspace.components.K.knobs.tilt_per_turn_deg", 0.0,
      ".knobs.tilt_per_turn_deg must be > 0.0"),
+    # finite, but the tilt such a knob gives overflows when squared
+    *[(f"workspace.components.K.knobs.{f}", v,
+       f".knobs.{f} must be {'<= 360000000.0' if v > 0 else '>= -360000000.0'}")
+      for f in ("h_deg", "v_deg", "bias_h_deg", "bias_v_deg") for v in (1e308, -1e308)],
+    ("workspace.components.K.knobs.tilt_per_turn_deg", 1e308,
+     ".knobs.tilt_per_turn_deg must be <= 360.0"),
+    ("workspace.components.K.knobs.tilt_per_turn_deg", -1e308,
+     ".knobs.tilt_per_turn_deg must be > 0.0"),
 ])
 def test_a_corrupt_saved_field_exits_2(built_dir, tmp_path, capsys, path, value,
                                        words):
@@ -341,6 +349,20 @@ def test_a_corrupt_saved_field_exits_2(built_dir, tmp_path, capsys, path, value,
     _edit_state(built_dir, tmp_path, _set_field(path, value))
     _assert_exit_2(["recover", "--out", str(tmp_path)], capsys, words)
     assert not (tmp_path / "recovery.json").exists()
+
+
+@pytest.mark.parametrize("flags, words", [
+    (["--min", "1e300", "--max", "1e308"], "--min must be <= 360000000.0"),
+    (["--max", "1e308"], "--max must be <= 360000000.0"),
+    (["--min=-1e308"], "--min must be >= 0.0"),
+    (["--min", "10", "--max", "5"], "--max must be >= 10.0"),
+])
+def test_a_knob_disturbance_out_of_range_exits_2(built_dir, tmp_path, capsys,
+                                                 flags, words):
+    saved = (built_dir / "state.json").read_bytes()
+    (tmp_path / "state.json").write_bytes(saved)
+    _assert_exit_2(["perturb", "knobs", "--out", str(tmp_path), *flags], capsys, words)
+    assert (tmp_path / "state.json").read_bytes() == saved
 
 
 def _checkout_env():

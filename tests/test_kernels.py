@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermval
 
 from cavforge import _kernels
@@ -144,3 +146,47 @@ def test_fallback_follows_the_compiled_loop_arithmetic(seed):
     for floor in (0.0, 0.01, 0.3):
         assert _kernels.frame_moments(img_k, floor) == \
             _loop_frame_moments(img_loop, floor)
+
+
+def _moments_of_every_order(img, floor, top, left):
+    # today's arithmetic, as the kernel ran before it took an order
+    idx = np.flatnonzero(img > floor)
+    if idx.size == 0:
+        return (0.0, 0.0, 0.0, 0.0, 0.0, float(img.max()) if img.size else 0.0, 0)
+    w = img.take(idx)
+    rows = idx // img.shape[1]
+    cols = idx - rows * img.shape[1]
+    rows += top
+    cols += left
+    total = 0.0 + float(np.add.accumulate(w)[-1])
+    cx = (0.0 + float(np.add.accumulate(w * cols)[-1])) / total
+    cy = (0.0 + float(np.add.accumulate(w * rows)[-1])) / total
+    dx, dy = cols - cx, rows - cy
+    var_x = (0.0 + float(np.add.accumulate(w * dx * dx)[-1])) / total
+    var_y = (0.0 + float(np.add.accumulate(w * dy * dy)[-1])) / total
+    return (total, cx, cy, var_x, var_y, float(w.max()), int(idx.size))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(1, 24),
+       st.integers(0, 4), st.sampled_from([0.0, 0.01, 0.02, 0.3, 2.0]),
+       st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                 st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+def test_each_moment_order_is_the_full_moments_bit_for_bit(seed, height, width,
+                                                          n_spots, floor, corners):
+    rng = np.random.default_rng(seed)
+    frame = np.zeros((height, width))
+    for spot in _random_spots(rng, height, width, n_spots):
+        _kernels.render_spot(frame, *_kernels.spot_factors(height, width, *spot))
+    np.clip(frame, 0.0, 1.0, out=frame)
+    # any window of the frame, an empty one included
+    t0, t1 = sorted(int(c * height) for c in corners[:2])
+    l0, l1 = sorted(int(c * width) for c in corners[2:])
+    window = frame[t0:t1, l0:l1]
+    full = _kernels.frame_moments(window, floor, t0, l0)
+    assert repr(full) == repr(_moments_of_every_order(window, floor, t0, l0))
+    assert repr(full) == repr(_kernels.frame_moments(window, floor, t0, l0, order=2))
+    first = _kernels.frame_moments(window, floor, t0, l0, order=1)
+    assert repr(first) == repr(full[:3] + (None, None) + full[5:])
+    zeroth = _kernels.frame_moments(window, floor, t0, l0, order=0)
+    assert repr(zeroth) == repr(full[:1] + (None,) * 4 + full[5:])

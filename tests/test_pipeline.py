@@ -9,11 +9,13 @@ from cavforge import pipeline
 from cavforge.errors import (ConstructionError, NoLasingError,
                              NoSnapshotError, WorkspaceError)
 from cavforge.layout import default_layout, validate_layout
-from cavforge.physics import cavity_response
+from cavforge.physics import camera_view, cavity_response
 from cavforge.pipeline import (PipelineState, StepId, measure_power_curve,
                                recover_displacement, recover_drift,
                                run_construction, surveillance_tick)
-from cavforge.simcore import inject_displacement, randomize_knobs, reseed
+from cavforge.simcore import (Workspace, inject_displacement, move_component,
+                              park_component, randomize_knobs, reseed, take_snapshot,
+                              turn_knob)
 from cavforge.vision import beam_stats
 
 
@@ -132,6 +134,38 @@ def test_recover_displacement_renders_one_frame_per_placement_pass(state, frames
     assert len(frames) == report.attempts + 1
 
 
+def test_a_bench_state_is_drawn_once_per_camera(state, frames):
+    held = state.view("cam1")
+    assert frames == ["cam1"]
+    np.testing.assert_array_equal(held.intensities,
+                                  camera_view(state.ws, "cam1").intensities)
+    # the same bench, an equal one decoded anew, one with only the count or
+    # snapshot changed: the held frame
+    assert state.view("cam1") is held
+    state.ws = Workspace.from_dict(state.ws.to_dict(), physics=state.ws.physics)
+    assert state.view("cam1") is held
+    state.ws = take_snapshot(state.ws)
+    assert state.view("cam1") is held
+    assert frames == ["cam1"]
+    # a knob turn, a move or a park: a new frame, held in its place
+    pose = state.ws.component("lens").pose
+    for change in (lambda ws: turn_knob(ws, "oc", "h", 1.0),
+                   lambda ws: move_component(ws, "lens", pose.shifted(dy=0.2)),
+                   lambda ws: park_component(ws, "bpf")):
+        state.ws = change(state.ws)
+        drawn = state.view("cam1")
+        assert drawn is not held and drawn is state.view("cam1")
+        np.testing.assert_array_equal(drawn.intensities,
+                                      camera_view(state.ws, "cam1").intensities)
+        held = drawn
+    assert frames == ["cam1"] * 4
+    # each camera holds its own; a replaced state holds none
+    state.view("cam2")
+    fresh = dataclasses.replace(state)
+    assert fresh.view("cam1") is not held
+    assert frames == ["cam1"] * 4 + ["cam2", "cam1"]
+
+
 def test_recover_displacement_needs_a_snapshot(state):
     state.ws = dataclasses.replace(state.ws, snapshot=None)
     with pytest.raises(NoSnapshotError):
@@ -159,7 +193,9 @@ def test_recover_drift_renders_one_frame_per_evaluation_and_one_per_round(
     state.ws = randomize_knobs(state.ws, ["ic", "oc"], 30.0, 60.0)
     report = recover_drift(state, rng=np.random.default_rng(4))
     assert report.success
-    assert len(frames) == report.iterations + len(report.details["rounds"])
+    # Frozen for rng 4: one round of 18 evaluations, whose ratio read reuses
+    # the frame of the evaluation that stopped it.
+    assert len(frames) == 18
 
 
 def test_recover_drift_succeeds_exactly_when_the_ratio_clears_90_percent(built):
@@ -183,7 +219,7 @@ def test_construction_renders_each_bench_state_once(layout, frames):
     # Frozen for seed 42. A routine that renders again a bench state it has
     # just measured raises the count.
     run_construction(layout, 42)
-    assert len(frames) == 103
+    assert len(frames) == 96
 
 
 @pytest.mark.parametrize("removed, step, role", [

@@ -10,8 +10,9 @@ from cavforge import _kernels
 from cavforge.errors import WorkspaceError
 from cavforge.physics import CameraFrame, CameraHit, render_frame
 from cavforge.vision import (DETECTION_FACTOR, BeamStats, beam_stats,
-                             centroid, emission_score, log_transform,
-                             reflection_centroid, subtract_reference)
+                             centroid, emission_score, intensity_score,
+                             log_transform, reflection_centroid,
+                             subtract_reference)
 
 
 def _frame(values):
@@ -157,6 +158,17 @@ def test_window_moments_equal_the_drawn_frame_bit_for_bit(height, width, spots,
     assert repr(beam_stats(_spot_frame(cam, spots), floor, sigma_ref_px)) == \
         repr(beam_stats(drawn, floor, sigma_ref_px))
     assert repr(centroid(_spot_frame(cam, spots), floor)) == repr(centroid(drawn, floor))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 50), _spots,
+       st.sampled_from([0.0, 0.02, 0.3, 1.0]), st.booleans())
+def test_intensity_score_is_the_unreferenced_emission_score_bit_for_bit(
+        height, width, spots, floor, root):
+    cam, _ = camera("cam", 0.0, width_px=width, height_px=height)
+    frame = _spot_frame(cam, spots)
+    assert repr(intensity_score(frame, root=root, noise_floor=floor)) == \
+        repr(emission_score(beam_stats(frame, floor), root=root))
 
 
 @settings(max_examples=300, deadline=None)
