@@ -23,18 +23,17 @@ from scipy.special import ndtr
 from .errors import BeamLostError, DegenerateResponseError, NoLasingError, WorkspaceError
 from .physics import camera_view
 from .simcore import (
+    KNOB_DEG,
     Workspace,
     apply_knob_readings,
     knob_readings,
     move_component,
     rotate_crystal,
-    set_knob_readings,
 )
 from .vision import (
     beam_stats,
     centroid,
     emission_score,
-    intensity_score,
     log_transform,
     reflection_centroid,
     sensor_center_px,
@@ -555,21 +554,46 @@ _SWEEP_MAX_DEG = 3.0
 _SWEEP_STEP_DEG = 0.2
 
 
-@dataclass(frozen=True)
-class AngularOptConfig:
-    """Settings for knob-space mirror alignment."""
+def _knob_search(ws: Workspace, mirror_ids: tuple, camera_id: str,
+                 rng: np.random.Generator, span_deg: float, cost, **options):
+    """Minimize ``cost(frame)`` over both knobs of each mirror in
+    ``mirror_ids`` with :func:`bayesian_optimize`, which takes ``options``.
 
-    span_deg: float = 90.0
-    max_iters: int = 30
-    init_samples: int = 5
-    length_scale_deg: float = 30.0
-    noise_scale: float = 1e-4
-    success_radius_px: float | None = None
+    The box spans ``span_deg`` either side of each starting reading, clipped
+    to ``KNOB_DEG``; each probe turns the knobs to its readings and scores
+    the frame ``camera_id`` then shows. The best readings are applied to the
+    returned workspace. The trace's ``last_view`` holds the last
+    evaluation's workspace and frame.
+    """
+    start = knob_readings(ws, mirror_ids)
+    bounds = [(max(r - span_deg, KNOB_DEG.lo), min(r + span_deg, KNOB_DEG.hi))
+              for cid in mirror_ids for r in start[cid]]
+    actions0 = ws.action_count
+    state = {"ws": ws}
+
+    def apply(readings):
+        # not coerced: the knobs keep the readings' np.float64 type and repr
+        state["ws"] = apply_knob_readings(
+            state["ws"], dict(zip(mirror_ids, zip(readings[0::2], readings[1::2]))))
+
+    def objective(readings):
+        apply(readings)
+        frame = camera_view(state["ws"], camera_id)
+        state["view"] = (state["ws"], frame)
+        return cost(frame)
+
+    best, _, trace = bayesian_optimize(objective, bounds, rng, **options)
+    apply(best)
+    trace.last_view = state["view"]
+    trace.wall_actions = state["ws"].action_count - actions0
+    return state["ws"], trace
 
 
 def align_resonator(ws: Workspace, mirror_id: str, camera_id: str, reference,
-                    rng: np.random.Generator, cfg: AngularOptConfig | None = None,
-                    reference_scale=None):
+                    rng: np.random.Generator, *, span_deg: float = 90.0,
+                    max_iters: int = 30, init_samples: int = 5,
+                    length_scale_deg: float = 30.0, noise_scale: float = 1e-4,
+                    success_radius_px: float | None = None, reference_scale=None):
     """Point a cavity mirror so its reflection lands back on the main spot.
 
     ``reference`` is a frame captured with the reflection absent; the live
@@ -580,9 +604,7 @@ def align_resonator(ws: Workspace, mirror_id: str, camera_id: str, reference,
     diagonals, minimized over the two knob readings. The default success
     radius is the reference spot's rendered 1/e^2 radius in pixels.
     """
-    cfg = cfg or AngularOptConfig()
-    knobs = ws.component(mirror_id).knobs
-    if knobs is None:
+    if ws.component(mirror_id).knobs is None:
         raise WorkspaceError(f"component {mirror_id!r} has no knobs to align")
     anchor = centroid(reference)
     if not anchor.detected:
@@ -590,35 +612,26 @@ def align_resonator(ws: Workspace, mirror_id: str, camera_id: str, reference,
     scaled = reference.scaled(reference_scale) if reference_scale is not None else reference
     reference_log = log_transform(scaled)
     penalty = 2.0 * math.hypot(reference.width, reference.height)
-    radius = cfg.success_radius_px
+    radius = success_radius_px
     if radius is None:
         stats = beam_stats(reference)
         radius = 2.0 * max(stats.sigma_px)
 
-    actions0 = ws.action_count
-    state = {"ws": ws}
-
-    def objective(readings):
-        h, v = readings
-        state["ws"] = set_knob_readings(state["ws"], mirror_id, h, v)
-        spot = reflection_centroid(camera_view(state["ws"], camera_id), reference_log)
+    def cost(frame):
+        spot = reflection_centroid(frame, reference_log)
         if not spot.detected:
             return penalty
         return math.hypot(spot.x_px - anchor.x_px, spot.y_px - anchor.y_px)
 
-    bounds = [(knobs.h_deg - cfg.span_deg, knobs.h_deg + cfg.span_deg),
-              (knobs.v_deg - cfg.span_deg, knobs.v_deg + cfg.span_deg)]
-    best, _, trace = bayesian_optimize(
-        objective, bounds, rng,
-        max_iters=cfg.max_iters, init_samples=cfg.init_samples,
-        length_scale=cfg.length_scale_deg, noise_scale=cfg.noise_scale,
+    ws, trace = _knob_search(
+        ws, (mirror_id,), camera_id, rng, span_deg, cost,
+        max_iters=max_iters, init_samples=init_samples,
+        length_scale=length_scale_deg, noise_scale=noise_scale,
         success_cost=radius, no_signal_cost=penalty,
         exploit_every=_ALIGN_EXPLOIT_EVERY)
-    state["ws"] = set_knob_readings(state["ws"], mirror_id, *best)
-    trace.wall_actions = state["ws"].action_count - actions0
     trace.meta.update(mirror=mirror_id, camera=camera_id,
                       success_radius_px=radius, objective_units="px")
-    return state["ws"], trace
+    return ws, trace
 
 
 def crystal_sweep(ws: Workspace, crystal_id: str, camera_id: str):
@@ -666,47 +679,26 @@ def optimize_mode(ws: Workspace, mirror_ids, camera_id: str,
     linear under ``I_over_M2``) over the beam-quality proxy, which counts
     only when a fundamental-mode reference width is supplied; a dark frame
     scores zero. The box spans ``span_deg`` either side of each starting
-    reading. Stops early once the score reaches ``success_value``. The
-    trace's ``meta`` names the objective and the reference width, ``None``
-    when the score is the intensity alone. Its ``last_view`` holds the last
-    evaluation's workspace and frame.
+    reading, within ``KNOB_DEG``. Stops early once the score reaches
+    ``success_value``. The trace's ``meta`` names the objective and the
+    reference width, ``None`` when the score is the intensity alone. Its
+    ``last_view`` holds the last evaluation's workspace and frame.
     """
     if objective_kind not in ("sqrtI_over_M2", "I_over_M2"):
         raise WorkspaceError(f"unknown objective kind {objective_kind!r}")
     root = objective_kind == "sqrtI_over_M2"
     mirror_ids = tuple(mirror_ids)
-    start = knob_readings(ws, mirror_ids)
-    actions0 = ws.action_count
-    state = {"ws": ws}
 
-    def apply(readings):
-        values = [float(v) for v in readings]
-        state["ws"] = apply_knob_readings(
-            state["ws"], dict(zip(mirror_ids, zip(values[0::2], values[1::2]))))
-
-    def objective(readings):
-        apply(readings)
-        frame = camera_view(state["ws"], camera_id)
-        state["view"] = (state["ws"], frame)
-        if sigma_ref_px is None:
-            score = intensity_score(frame, root=root)
-        else:
-            score = emission_score(beam_stats(frame, sigma_ref_px=sigma_ref_px),
-                                   root=root)
+    def cost(frame):
         # 0.0 - score negates exactly, and keeps a dark frame at +0.0
-        return 0.0 - score
+        return 0.0 - emission_score(frame, root=root, sigma_ref_px=sigma_ref_px)
 
-    bounds = [(r - span_deg, r + span_deg)
-              for cid in mirror_ids for r in start[cid]]
     success_cost = -float(success_value) if success_value is not None else None
-    best, _, trace = bayesian_optimize(
-        objective, bounds, rng,
+    ws, trace = _knob_search(
+        ws, mirror_ids, camera_id, rng, span_deg, cost,
         max_iters=max_iters, init_samples=init_samples,
         length_scale=length_scale_deg, success_cost=success_cost)
-    apply(best)
-    trace.last_view = state["view"]
-    trace.wall_actions = state["ws"].action_count - actions0
     trace.meta.update(camera=camera_id,
                       knob_axes=[[cid, axis] for cid in mirror_ids for axis in ("h", "v")],
                       objective=f"neg_{objective_kind}", sigma_ref_px=sigma_ref_px)
-    return state["ws"], trace
+    return ws, trace

@@ -26,8 +26,8 @@ import numpy as np
 from . import trials
 from .errors import CavforgeError, ConstructionError, LayoutError
 from .frameio import write_csv, write_pgm
-from .layout import (apply_overrides, check_seed, check_value, default_layout,
-                     read_layout, validate_layout)
+from .layout import (apply_overrides, check_knobs, check_seed, check_value,
+                     default_layout, read_layout, validate_layout)
 from .pipeline import (
     PipelineState,
     measure_power_curve,
@@ -133,6 +133,10 @@ def cmd_perturb(args) -> int:
         check_value(args.max_deg, float, Interval(args.min_deg, KNOB_SPAN_DEG.hi), "--max")
         mirrors = [c.id for c in state.ws.components if c.knobs is not None]
         state.ws = randomize_knobs(state.ws, mirrors, args.min_deg, args.max_deg)
+        # the disturbance adds to the biases: refuse a sum a load would reject
+        for i, comp in enumerate(state.ws.components):
+            if comp.knobs is not None:
+                check_knobs(comp.knobs.to_dict(), f"workspace.components[{i}]")
     tick = surveillance_tick(state)
     _save_state(args, state)
     print(json.dumps(tick, sort_keys=True))

@@ -17,7 +17,7 @@ from typing import get_type_hints
 
 from .errors import LayoutError
 from .physics import PhysicsConfig
-from .simcore import (ANY, COMPONENT_PARAMS, DEFAULT_TABLE_BOUNDS, NONNEGATIVE,
+from .simcore import (ANY, COMPONENT_PARAMS, DEFAULT_TABLE_BOUNDS, KNOB_DEG, NONNEGATIVE,
                       TILT_PER_TURN, Component, ComponentKind, KnobPair, Pose, Workspace,
                       rng_state_from_seed)
 
@@ -123,6 +123,16 @@ def check_value(value, kind, allowed, where):
         _require_number(value, where, allowed)
     elif allowed is not None and value not in allowed:
         raise LayoutError(f"{where} must be one of {list(allowed)}, got {value!r}")
+
+
+def check_knobs(knobs: dict, where: str) -> None:
+    """Raise LayoutError unless each :class:`KnobPair` field in ``knobs`` is a
+    number in its interval: ``TILT_PER_TURN`` for ``tilt_per_turn_deg``,
+    ``KNOB_DEG`` for the readings and biases."""
+    for f in fields(KnobPair):
+        if f.name in knobs:
+            allowed = TILT_PER_TURN if f.name == "tilt_per_turn_deg" else KNOB_DEG
+            check_value(knobs[f.name], float, allowed, f"{where}.knobs.{f.name}")
 
 
 def check_seed(seed) -> None:

@@ -28,7 +28,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import MissingComponentError, TraceError, WorkspaceError
-from .simcore import ANY, NONNEGATIVE, POSITIVE, UNIT, Component, ComponentKind, Workspace
+from .simcore import (ANY, APERTURE_MM, NONNEGATIVE, POSITIVE, REF_SCALE, UNIT,
+                      Component, ComponentKind, Workspace)
 
 _EPS_X = 1e-9
 # The components that make up the resonator; the lasing model needs all four.
@@ -55,11 +56,11 @@ class PhysicsConfig:
     threshold_curvature: float = _ranged(0.05, NONNEGATIVE)
     m_cutoff: float = _ranged(4.0, POSITIVE)
     mode_band_edges: tuple = _ranged((1.3, 2.3, 3.2, 4.0))
-    ref_tilt_deg: float = _ranged(0.02, POSITIVE)
-    ref_lens_offset_mm: float = _ranged(0.3, POSITIVE)
-    ref_crystal_deg: float = _ranged(0.2, POSITIVE)
+    ref_tilt_deg: float = _ranged(0.02, REF_SCALE)
+    ref_lens_offset_mm: float = _ranged(0.3, REF_SCALE)
+    ref_crystal_deg: float = _ranged(0.2, REF_SCALE)
     fluorescence_scale: float = _ranged(0.08, NONNEGATIVE)
-    aperture_mm: float = _ranged(10.0, POSITIVE)
+    aperture_mm: float = _ranged(10.0, APERTURE_MM)
     max_bounces: int = _ranged(6, NONNEGATIVE)
     min_power_fraction: float = _ranged(1e-5, UNIT)
 
@@ -75,7 +76,6 @@ class CameraHit:
     power: float
     wavelength: str
     n_bounces: int
-    path: tuple = ()
     mode_order: int = 0
 
 
@@ -234,9 +234,9 @@ class _Ray:
     copies it only where a mirror splits it in two."""
 
     __slots__ = ("x", "y", "z", "sy", "sz", "sign", "power", "wavelength", "q",
-                 "n_bounces", "path")
+                 "n_bounces")
 
-    def __init__(self, x, y, z, sy, sz, sign, power, wavelength, q, n_bounces, path):
+    def __init__(self, x, y, z, sy, sz, sign, power, wavelength, q, n_bounces):
         self.x = x
         self.y = y
         self.z = z
@@ -247,11 +247,10 @@ class _Ray:
         self.wavelength = wavelength
         self.q = q
         self.n_bounces = n_bounces
-        self.path = path
 
     def copy(self) -> _Ray:
         return _Ray(self.x, self.y, self.z, self.sy, self.sz, self.sign, self.power,
-                    self.wavelength, self.q, self.n_bounces, self.path)
+                    self.wavelength, self.q, self.n_bounces)
 
 
 def _mirror_tilts_rad(comp: Component):
@@ -299,7 +298,6 @@ def trace_beam(ws: Workspace) -> TraceResult:
         wavelength="pump",
         q=q_at_waist(waist, cfg.pump_wavelength_mm),
         n_bounces=0,
-        path=(pump.id,),
     )
     result = TraceResult()
     _run_rays(ws, [ray0], result, power_floor=power0 * cfg.min_power_fraction)
@@ -327,9 +325,8 @@ def _run_rays(ws: Workspace, queue, result: TraceResult, power_floor):
         ray.y = y_at
         ray.z = z_at
         ray.q = ray.q + abs(dx)
-        ray.path = ray.path + (comp.id,)
         if ray.wavelength == "pump" and ray.n_bounces == 0 and ray.sign == 1:
-            result.primary_at[comp.id] = (y_at, z_at, ray.sy, ray.sz, ray.power)
+            result.primary_at[comp.id] = (y_at, z_at, ray.sy, ray.sz)
 
         kind = comp.kind
         if kind == ComponentKind.CAMERA:
@@ -449,7 +446,6 @@ def _record_camera_hit(result: TraceResult, cam: Component, ray: _Ray,
         power=ray.power,
         wavelength=ray.wavelength,
         n_bounces=ray.n_bounces,
-        path=ray.path,
     )
     result.hits.setdefault(cam.id, []).append(hit)
 
@@ -472,7 +468,6 @@ def _record_side_hit(ws: Workspace, result: TraceResult, bs: Component,
         power=ray.power * ratio,
         wavelength=ray.wavelength,
         n_bounces=ray.n_bounces,
-        path=ray.path + (cam_id,),
     )
     result.hits.setdefault(cam_id, []).append(hit)
 
@@ -611,12 +606,12 @@ def _laser_hits(ws: Workspace, cav: CavityState, trace: TraceResult):
     power = cav.output_power + fluorescence_power(cav, cfg)
     if arrival is None or power <= 0.0:
         return []
-    y, z, sy, sz, _ = arrival
+    y, z, sy, sz = arrival
     ray = _Ray(
         x=crystal.pose.x, y=y, z=z, sy=sy, sz=sz, sign=1,
         power=power, wavelength="laser",
         q=q_at_waist(cfg.laser_waist_mm, cfg.laser_wavelength_mm),
-        n_bounces=0, path=(crystal.id,),
+        n_bounces=0,
     )
     sub = TraceResult()
     _run_rays(ws, [ray], sub, power_floor=power * cfg.min_power_fraction)

@@ -18,7 +18,6 @@ from typing import Any
 import numpy as np
 
 from .align import (
-    AngularOptConfig,
     SpatialOptConfig,
     align_resonator,
     crystal_sweep,
@@ -41,18 +40,16 @@ from .layout import (
     SCHEMA_VERSION,
     Layout,
     build_workspace,
+    check_knobs,
     check_value,
     validate_component,
     validate_layout,
 )
 from .physics import CameraFrame, camera_view, cavity_response, trace_beam
 from .simcore import (
-    KNOB_DEG,
     NONNEGATIVE,
     POSITIVE,
-    TILT_PER_TURN,
     ComponentKind,
-    KnobPair,
     Pose,
     Workspace,
     apply_knob_readings,
@@ -201,13 +198,7 @@ class PipelineState:
                 where = f"workspace.components[{i}]"
                 validate_component(comp["kind"], comp.get("params", {}), where)
                 check_value(comp["id"], str, None, f"{where}.id")
-                knobs = comp.get("knobs", {})
-                for f in dataclasses.fields(KnobPair):
-                    if f.name in knobs:
-                        allowed = (TILT_PER_TURN if f.name == "tilt_per_turn_deg"
-                                   else KNOB_DEG)
-                        check_value(knobs[f.name], float, allowed,
-                                    f"{where}.knobs.{f.name}")
+                check_knobs(comp.get("knobs", {}), where)
             check_value(saved["action_count"], int, NONNEGATIVE,
                         "workspace.action_count")
             if d.get("baseline") is not None:
@@ -341,8 +332,7 @@ def _align_retro(state: PipelineState, step, rng, mirror: str, camera_id: str,
         raise WorkspaceError(f"no reference frame stored for {camera_id}")
     state.ws, trace = align_resonator(
         state.ws, mirror, camera_id, reference, rng,
-        cfg=AngularOptConfig(success_radius_px=radius_px),
-        reference_scale=reference_scale)
+        success_radius_px=radius_px, reference_scale=reference_scale)
     state.log_event(step, f"angular optimize {mirror}", trace.summary())
     if not trace.converged:
         raise ConstructionError(
@@ -475,19 +465,16 @@ def _step_place_crystal(state: PipelineState, step, rng, ctx) -> None:
     frame = state.view(cam_main)
     stats = beam_stats(frame)
     sigma_ref = float(max(stats.sigma_px)) if stats.detected else None
-
-    def score(frame):
-        return emission_score(beam_stats(frame, sigma_ref_px=sigma_ref), root=True)
-
     incoming = knob_readings(state.ws, (ic, oc))
-    incoming_score = score(frame)
+    incoming_score = emission_score(frame, root=True, sigma_ref_px=sigma_ref)
     state.ws, trace = optimize_mode(
         state.ws, (ic, oc), cam_main, rng,
         span_deg=_MODE_SPAN_DEG, max_iters=_MODE_MAX_ITERS,
         init_samples=_MODE_INIT_SAMPLES,
         length_scale_deg=_MODE_LENGTH_SCALE_DEG, sigma_ref_px=sigma_ref)
     reverted = False
-    if score(state.view(cam_main)) < incoming_score:
+    if emission_score(state.view(cam_main), root=True,
+                      sigma_ref_px=sigma_ref) < incoming_score:
         # The optimizer applies the best point it sampled, which is not
         # guaranteed to beat the pre-search alignment; keep the better one.
         state.ws = apply_knob_readings(state.ws, incoming)
@@ -644,8 +631,9 @@ def _require_complete(state: PipelineState) -> None:
 
 def _objective_ratio(state: PipelineState) -> float:
     [cam_main] = _need(resolve_roles(state.layout), "cam_main")
-    stats = beam_stats(state.view(cam_main), sigma_ref_px=state.baseline["sigma_px"])
-    return float(emission_score(stats, root=False) / state.baseline["objective"])
+    score = emission_score(state.view(cam_main), root=False,
+                           sigma_ref_px=state.baseline["sigma_px"])
+    return float(score / state.baseline["objective"])
 
 
 def surveillance_tick(state: PipelineState) -> dict:

@@ -160,6 +160,14 @@ KNOB_DEG = Interval(-3.6e8, 3.6e8)
 KNOB_SPAN_DEG = Interval(0.0, KNOB_DEG.hi)
 # a knob turn tilts its mirror by at most a full circle
 TILT_PER_TURN = Interval(0.0, 360.0, lo_open=True)
+# Each term physics.cavity_response squares is an error over a ref_* scale:
+# a mirror tilt below 1.1e9 degrees (KNOB_DEG readings and biases, at most
+# 360 degrees a turn, plus a yaw), a lens offset below 1.5 apertures, a
+# crystal angle error of at most 720 degrees. Under these bounds each
+# quotient stays below 1.5e150, so its square and the sum stay finite.
+REF_SCALE = Interval(1e-50)
+APERTURE_MM = Interval(0.0, 1e100, lo_open=True)
+CRYSTAL_DEG = Interval(-360.0, 360.0)
 
 # Every parameter a component may declare, by kind: its type, the value a
 # component that omits it reads, and the values it allows (an Interval for a
@@ -174,7 +182,7 @@ _MIRROR_PARAMS = {
     "pump_reflectivity": (float, None, UNIT),
     "substrate_focal_mm": (float, None, ANY),
     "knob_jitter_deg": (float, 0.0, KNOB_SPAN_DEG),
-    "aperture_mm": (float, None, POSITIVE),
+    "aperture_mm": (float, None, APERTURE_MM),
 }
 
 COMPONENT_PARAMS = {
@@ -186,28 +194,28 @@ COMPONENT_PARAMS = {
     ComponentKind.MIRROR_OC: _MIRROR_PARAMS,
     ComponentKind.LENS: {
         "focal_length_mm": (float, None, POSITIVE),
-        "aperture_mm": (float, None, POSITIVE),
+        "aperture_mm": (float, None, APERTURE_MM),
     },
     ComponentKind.BEAM_SPLITTER: {
         "split_ratio": (float, 0.5, OPEN_UNIT),
         "arm_camera": (str, None, None),
-        "aperture_mm": (float, None, POSITIVE),
+        "aperture_mm": (float, None, APERTURE_MM),
     },
     ComponentKind.NDF: {
         "transmittance": (float, 1.0, TRANSMITTANCE),
-        "aperture_mm": (float, None, POSITIVE),
+        "aperture_mm": (float, None, APERTURE_MM),
     },
     ComponentKind.BPF: {
         "passband": (str, "laser", ("pump", "laser")),
-        "aperture_mm": (float, None, POSITIVE),
+        "aperture_mm": (float, None, APERTURE_MM),
     },
     ComponentKind.BEAM_BLOCK: {
-        "aperture_mm": (float, None, POSITIVE),
+        "aperture_mm": (float, None, APERTURE_MM),
     },
     ComponentKind.CRYSTAL: {
-        "theta_deg": (float, 0.0, ANY),
-        "theta_opt_deg": (float, 0.0, ANY),
-        "aperture_mm": (float, None, POSITIVE),
+        "theta_deg": (float, 0.0, CRYSTAL_DEG),
+        "theta_opt_deg": (float, 0.0, CRYSTAL_DEG),
+        "aperture_mm": (float, None, APERTURE_MM),
     },
     ComponentKind.CAMERA: {
         "width_px": (int, 640, SENSOR_PX),

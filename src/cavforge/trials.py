@@ -15,7 +15,6 @@ import dataclasses
 import numpy as np
 
 from .align import (
-    AngularOptConfig,
     SpatialOptConfig,
     align_resonator,
     latin_hypercube,
@@ -154,9 +153,8 @@ def angular_trials(layout: Layout, master_seed: int, n_trials: int = 10,
             ws, trace = align_resonator(
                 ws, roles.oc, roles.cam_arm, reference,
                 _rng(master_seed, _TAG_ANGULAR, i, 2),
-                cfg=AngularOptConfig(span_deg=170.0, max_iters=max_iters,
-                                     init_samples=6, length_scale_deg=45.0,
-                                     noise_scale=0.02))
+                span_deg=170.0, max_iters=max_iters, init_samples=6,
+                length_scale_deg=45.0, noise_scale=0.02)
             rows.append(_row(trial=i, seed=seed, success=int(trace.converged),
                              iterations=len(trace), actions=trace.wall_actions,
                              final_error=trace.best_objective,

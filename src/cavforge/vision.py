@@ -145,26 +145,23 @@ def beam_stats(frame: CameraFrame, noise_floor: float = DEFAULT_NOISE_FLOOR,
     return BeamStats(True, saturated, (cx, cy), total, sigma, m_squared)
 
 
-def emission_score(stats: BeamStats, *, root: bool) -> float:
-    """Emission quality of a spot: its total intensity (square-rooted when
-    ``root``) over the beam-quality proxy, taken as 1 without a reference
-    width. An undetected spot scores zero."""
-    if not stats.detected:
+def emission_score(frame: CameraFrame, *, root: bool, sigma_ref_px: float | None = None,
+                   noise_floor: float = DEFAULT_NOISE_FLOOR) -> float:
+    """Emission quality of the spot on ``frame``: its total intensity
+    (square-rooted when ``root``) over its beam-quality proxy against the
+    fundamental reference width ``sigma_ref_px``. Without a reference the
+    proxy counts as 1 and only the total is measured. An undetected spot
+    scores zero."""
+    if sigma_ref_px is None:
+        total, _, _, _, _, _, count = _moments(frame, noise_floor, order=0)
+        detected, quality = _detected(total, count, noise_floor), 1.0
+    else:
+        stats = beam_stats(frame, noise_floor, sigma_ref_px)
+        detected, total, quality = stats.detected, stats.total_intensity, stats.m_squared
+    if not detected:
         return 0.0
-    strength = math.sqrt(stats.total_intensity) if root else stats.total_intensity
-    quality = stats.m_squared if stats.m_squared is not None else 1.0
+    strength = math.sqrt(total) if root else total
     return strength / quality
-
-
-def intensity_score(frame: CameraFrame, *, root: bool,
-                    noise_floor: float = DEFAULT_NOISE_FLOOR) -> float:
-    """``emission_score(beam_stats(frame, noise_floor), root=root)`` bit for
-    bit, from the total alone: without a reference width the score is the
-    spot's total intensity, square-rooted when ``root``."""
-    total, _, _, _, _, _, count = _moments(frame, noise_floor, order=0)
-    if not _detected(total, count, noise_floor):
-        return 0.0
-    return math.sqrt(total) if root else total
 
 
 def sensor_center_px(frame: CameraFrame) -> tuple:

@@ -6,14 +6,16 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from _benches import bench, camera, make_cavity, mirror, pump
-from cavforge.align import (AngularOptConfig, align_resonator, crystal_sweep,
+from cavforge import align
+from cavforge.align import (align_resonator, crystal_sweep,
                             fit_beam_path, measure_beam_path,
                             newton_correction, newton_solve,
                             optimize_mode, spatial_optimize)
 from cavforge.errors import (BeamLostError, DegenerateResponseError,
                              NoLasingError, WorkspaceError)
 from cavforge.physics import CameraFrame, camera_view
-from cavforge.simcore import Component, ComponentKind, Pose, knob_readings
+from cavforge.simcore import (KNOB_DEG, Component, ComponentKind, Pose,
+                              apply_knob_readings, knob_readings)
 
 
 def test_newton_correction_frozen_value():
@@ -152,13 +154,52 @@ def test_align_resonator_contract_errors():
 
 def test_align_resonator_is_deterministic_for_a_fixed_seed():
     ws, reference = _retro_bench(0.1)
-    cfg = AngularOptConfig(max_iters=12)
     _, t1 = align_resonator(ws, "oc", "cam2", reference,
-                            np.random.default_rng(11), cfg=cfg)
+                            np.random.default_rng(11), max_iters=12)
     _, t2 = align_resonator(ws, "oc", "cam2", reference,
-                            np.random.default_rng(11), cfg=cfg)
+                            np.random.default_rng(11), max_iters=12)
     assert t1.best_params == t2.best_params
     assert [i.params for i in t1.iterations] == [i.params for i in t2.iterations]
+
+
+@pytest.mark.parametrize("search", ["align_resonator", "optimize_mode"])
+def test_a_knob_search_keeps_its_last_view_best_readings_and_actions(monkeypatch,
+                                                                     search):
+    if search == "align_resonator":
+        ws, reference = _retro_bench(0.1)
+        mirrors = ("oc",)
+    else:
+        ws = make_cavity(tilt_oc_deg=0.01)
+        mirrors = ("ic", "oc")
+    views = []
+
+    def recorded(ws, camera_id):
+        frame = camera_view(ws, camera_id)
+        views.append((ws, frame))
+        return frame
+
+    monkeypatch.setattr(align, "camera_view", recorded)
+    if search == "align_resonator":
+        out, trace = align_resonator(ws, "oc", "cam2", reference,
+                                     np.random.default_rng(3), max_iters=8)
+    else:
+        out, trace = optimize_mode(ws, mirrors, "cam1", np.random.default_rng(0),
+                                   max_iters=6, init_samples=3)
+    assert len(views) == len(trace)
+    last_ws, last_frame = trace.last_view
+    assert last_ws is views[-1][0] and last_frame is views[-1][1]
+    readings = knob_readings(out, mirrors)
+    assert sum((readings[cid] for cid in mirrors), ()) == trace.best_params
+    assert trace.wall_actions == out.action_count - ws.action_count
+
+
+def test_a_knob_search_box_stops_at_the_knob_bound():
+    ws = apply_knob_readings(make_cavity(), {"ic": (KNOB_DEG.hi, KNOB_DEG.lo),
+                                             "oc": (KNOB_DEG.hi, 0.0)})
+    _, trace = optimize_mode(ws, ("ic", "oc"), "cam1", np.random.default_rng(0),
+                             max_iters=4, init_samples=4)
+    assert all(KNOB_DEG.violation(r) is None
+               for it in trace.iterations for r in it.params)
 
 
 def test_crystal_sweep_parks_near_the_phase_matching_angle():

@@ -104,6 +104,9 @@ def test_zero_widths_and_wavelengths_exit_2(tmp_path, capsys):
     "components.ic.params.knob_jitter_deg=-1", "components.bpf.params.passband=lazer",
     # a sensor this wide would be drawn for minutes
     "components.cam1.params.width_px=100000000",
+    # finite, but the misalignment terms they give overflow when squared
+    "physics.ref_tilt_deg=1e-300", "components.crystal.params.theta_opt_deg=1e307",
+    "components.lens.params.aperture_mm=1e300",
 ])
 def test_out_of_range_overrides_exit_2(tmp_path, capsys, override):
     code, _ = _run(["build", "--out", str(tmp_path), "--set", override])
@@ -356,6 +359,8 @@ def test_a_corrupt_saved_field_exits_2(built_dir, tmp_path, capsys, path, value,
     (["--max", "1e308"], "--max must be <= 360000000.0"),
     (["--min=-1e308"], "--min must be >= 0.0"),
     (["--min", "10", "--max", "5"], "--max must be >= 10.0"),
+    # in range, but the bias it adds to goes past the bound a load checks
+    (["--min", "3.6e8", "--max", "3.6e8"], ".knobs.bias_v_deg must be <= 360000000.0"),
 ])
 def test_a_knob_disturbance_out_of_range_exits_2(built_dir, tmp_path, capsys,
                                                  flags, words):

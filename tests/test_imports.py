@@ -1,4 +1,5 @@
-"""No cavforge module imports another module's private names."""
+"""No cavforge module imports another module's private names, or a name it
+never uses."""
 
 import ast
 import os
@@ -37,6 +38,46 @@ def test_the_guard_sees_a_private_import(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("from . import _kernels\nfrom .pipeline import _Roles\n")
     assert list(_private_imports(bad)) == ["bad.py:2: from .pipeline import _Roles"]
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            used.update(ast.literal_eval(node.value))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            # ``import a.b`` binds ``a``
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                yield f"{path.name}:{node.lineno}: {name}"
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    sources = sorted(SRC.glob("*.py"))
+    assert len(sources) > 5
+    offenders = [hit for path in sources for hit in _unused_imports(path)]
+    assert offenders == []
+
+
+def test_the_guard_sees_an_unused_import(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("from __future__ import annotations\n"
+                   "import math\n"
+                   "import numpy as np\n"
+                   "import os.path\n"
+                   "from .simcore import knob_readings, set_knob_readings\n"
+                   "from .align import bayesian_optimize\n"
+                   "__all__ = ['bayesian_optimize']\n"
+                   "print(np.pi, os.sep, knob_readings)\n")
+    assert list(_unused_imports(bad)) == ["bad.py:2: math",
+                                          "bad.py:5: set_knob_readings"]
 
 
 def test_the_program_does_not_import_scipy_optimize():

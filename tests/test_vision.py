@@ -9,8 +9,8 @@ from _benches import camera
 from cavforge import _kernels
 from cavforge.errors import WorkspaceError
 from cavforge.physics import CameraFrame, CameraHit, render_frame
-from cavforge.vision import (DETECTION_FACTOR, BeamStats, beam_stats,
-                             centroid, emission_score, intensity_score,
+from cavforge.vision import (DETECTION_FACTOR, beam_stats,
+                             centroid, emission_score,
                              log_transform, reflection_centroid,
                              subtract_reference)
 
@@ -110,16 +110,21 @@ def test_beam_stats_rejects_bad_reference_width():
 
 
 def test_emission_score_forms_and_missing_reference():
-    lit = BeamStats(True, False, (1.0, 2.0), 16.0, (3.0, 3.0), 2.0)
-    assert emission_score(lit, root=True) == 2.0  # sqrt(16) / 2
-    assert emission_score(lit, root=False) == 8.0  # 16 / 2
+    # four unit pixels: total 4, widths (2, 1), so M^2 = 4 against a width of 1
+    img = np.zeros((8, 8))
+    img[3, 2] = img[3, 6] = img[5, 2] = img[5, 6] = 1.0
+    lit = _frame(img)
+    assert emission_score(lit, root=True, sigma_ref_px=1.0) == 0.5  # sqrt(4) / 4
+    assert emission_score(lit, root=False, sigma_ref_px=1.0) == 1.0  # 4 / 4
     # without a reference width the quality proxy counts as 1
-    unreferenced = BeamStats(True, False, (1.0, 2.0), 16.0, (3.0, 3.0), None)
-    assert emission_score(unreferenced, root=True) == 4.0
-    assert emission_score(unreferenced, root=False) == 16.0
-    dark = BeamStats(False, False, None, 0.5, None, None)
-    assert emission_score(dark, root=True) == 0.0
-    assert emission_score(dark, root=False) == 0.0
+    assert emission_score(lit, root=True) == 2.0
+    assert emission_score(lit, root=False) == 4.0
+    faint = np.zeros((8, 8))
+    faint[4, 4] = 0.5  # above the floor, below the detection gate
+    for dark in (_frame(np.zeros((8, 8))), _frame(faint)):
+        for sigma_ref_px in (None, 1.0):
+            assert emission_score(dark, root=True, sigma_ref_px=sigma_ref_px) == 0.0
+            assert emission_score(dark, root=False, sigma_ref_px=sigma_ref_px) == 0.0
 
 
 
@@ -163,12 +168,17 @@ def test_window_moments_equal_the_drawn_frame_bit_for_bit(height, width, spots,
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 40), st.integers(1, 50), _spots,
        st.sampled_from([0.0, 0.02, 0.3, 1.0]), st.booleans())
-def test_intensity_score_is_the_unreferenced_emission_score_bit_for_bit(
+def test_unreferenced_emission_score_is_the_order_2_score_bit_for_bit(
         height, width, spots, floor, root):
     cam, _ = camera("cam", 0.0, width_px=width, height_px=height)
-    frame = _spot_frame(cam, spots)
-    assert repr(intensity_score(frame, root=root, noise_floor=floor)) == \
-        repr(emission_score(beam_stats(frame, floor), root=root))
+    # the score from the full second-order statistics, with a quality of 1
+    stats = beam_stats(_spot_frame(cam, spots), floor)
+    expected = 0.0
+    if stats.detected:
+        total = stats.total_intensity
+        expected = (math.sqrt(total) if root else total) / 1.0
+    assert repr(emission_score(_spot_frame(cam, spots), root=root,
+                               noise_floor=floor)) == repr(expected)
 
 
 @settings(max_examples=300, deadline=None)
