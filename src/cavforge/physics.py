@@ -381,34 +381,32 @@ def _run_rays(ws: Workspace, queue, result: TraceResult, power_floor):
 
 
 def _aperture_table(comps, cfg: PhysicsConfig):
-    """``(x, y, z, half_width, index, component)`` for each of ``comps``,
-    sorted by x and then by index in ``comps``, and the sorted x values.
+    """``(x, y, z, half_width, component)`` for each of ``comps``, which a
+    workspace keeps in beam order, and the x values.
 
     ``half_width`` is a camera's body half-width, or any other component's
     aperture.
     """
     table = []
-    for index, c in enumerate(comps):
-        if c.kind == ComponentKind.CAMERA:
-            half = float(c.param("body_halfwidth_mm"))
-        else:
-            half = _aperture(c, cfg)
-        table.append((c.pose.x, c.pose.y, c.pose.z, half, index, c))
-    table.sort(key=lambda row: row[0])  # stable: ties keep their order in comps
+    for c in comps:
+        camera = c.kind == ComponentKind.CAMERA
+        half = float(c.param("body_halfwidth_mm")) if camera else _aperture(c, cfg)
+        table.append((c.pose.x, c.pose.y, c.pose.z, half, c))
     return table, [row[0] for row in table]
 
 
 def _next_component(table, table_x, ray: _Ray):
     """``(component, y, z)`` where the ray next lands, or None: the nearest
     component ahead whose aperture takes it, more than ``_EPS_X`` away, and
-    of two at the same distance the one earlier in the workspace."""
+    of two at the same distance the earlier in beam order (at one x, the
+    lower placement seq)."""
     if ray.sign > 0:
         ahead = range(bisect.bisect_right(table_x, ray.x), len(table))
     else:
         ahead = range(bisect.bisect_left(table_x, ray.x) - 1, -1, -1)
     best = None
     for k in ahead:
-        x, y, z, half, index, comp = table[k]
+        x, y, z, half, comp = table[k]
         offset = x - ray.x
         dx = offset * ray.sign
         if dx <= _EPS_X:
@@ -421,8 +419,8 @@ def _next_component(table, table_x, ray: _Ray):
         z_at = ray.z + ray.sz * offset
         if abs(y_at - y) > half or abs(z_at - z) > half:
             continue
-        if best is None or index < best[1]:
-            best = (dx, index, comp, y_at, z_at)
+        if best is None or k < best[1]:
+            best = (dx, k, comp, y_at, z_at)
     if best is None:
         return None
     return best[2], best[3], best[4]

@@ -14,7 +14,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -303,9 +303,10 @@ def _jsonable_rng_state(state):
 class Workspace:
     """Everything on the table plus the seeded noise stream.
 
-    ``components`` is kept sorted by pose.x (beam-path order, stable on
-    ties). ``physics`` is the simulation constant block consumed by the
-    optics layer; it rides along opaquely here.
+    ``components`` are in beam order, by ``(pose.x, seq)``: every
+    construction restores it, ``dataclasses.replace`` and :meth:`from_dict`
+    (a loaded ``state.json``) included. ``physics`` is the simulation
+    constant block consumed by the optics layer; it rides along opaquely here.
     """
 
     components: tuple[Component, ...] = ()
@@ -315,6 +316,10 @@ class Workspace:
     snapshot: Mapping[str, Pose] | None = None
     action_count: int = 0
     physics: Any = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "components", tuple(
+            sorted(self.components, key=lambda c: (c.pose.x, c.seq))))
 
     def component(self, component_id: str) -> Component:
         for c in self.components:
@@ -380,17 +385,24 @@ def _check_bounds(ws: Workspace, target: Pose):
         )
 
 
-def _sorted_components(components: Iterable[Component]) -> tuple[Component, ...]:
-    return tuple(sorted(components, key=lambda c: (c.pose.x, c.seq)))
-
-
-def _replace_component(ws: Workspace, updated: Component, extra=None) -> Workspace:
+def _swap(ws: Workspace, updated: Component, **changes) -> Workspace:
+    """``ws`` with ``updated`` in place of the component with its id."""
     comps = [updated if c.id == updated.id else c for c in ws.components]
-    kwargs = {"components": _sorted_components(comps),
-              "action_count": ws.action_count + 1}
-    if extra:
-        kwargs.update(extra)
-    return dataclasses.replace(ws, **kwargs)
+    return dataclasses.replace(ws, components=comps, **changes)
+
+
+def _knobs(ws: Workspace, component_id: str) -> tuple[Component, KnobPair]:
+    """The component ``component_id`` and its knobs; NoKnobsError if it has none."""
+    comp = ws.component(component_id)
+    if comp.knobs is None:
+        raise NoKnobsError(f"component {component_id!r} has no knobs")
+    return comp, comp.knobs
+
+
+def _grip(ws: Workspace):
+    """The noise stream after one set-down, and its actuation error ``dx, dy``."""
+    g = _generator(ws.rng_state)
+    return g, g.normal(0.0, ws.placement_noise_sigma), g.normal(0.0, ws.placement_noise_sigma)
 
 
 def place_component(ws: Workspace, component: Component, target: Pose) -> Workspace:
@@ -407,9 +419,7 @@ def place_component(ws: Workspace, component: Component, target: Pose) -> Worksp
     if component.kind == ComponentKind.PUMP_SOURCE and ws.find_kind(ComponentKind.PUMP_SOURCE):
         raise WorkspaceError("workspace already has a pump source")
     _check_bounds(ws, target)
-    g = _generator(ws.rng_state)
-    dx = g.normal(0.0, ws.placement_noise_sigma)
-    dy = g.normal(0.0, ws.placement_noise_sigma)
+    g, dx, dy = _grip(ws)
     knobs = component.knobs
     jitter = 0.0 if knobs is None else float(component.param("knob_jitter_deg"))
     if jitter > 0.0:
@@ -422,12 +432,9 @@ def place_component(ws: Workspace, component: Component, target: Pose) -> Worksp
                 target.z, target.yaw)
     seq = 1 + max((c.seq for c in ws.components), default=0)
     placed = dataclasses.replace(component, pose=pose, knobs=knobs, seq=seq)
-    return dataclasses.replace(
-        ws,
-        components=_sorted_components(ws.components + (placed,)),
-        rng_state=g.bit_generator.state,
-        action_count=ws.action_count + 1,
-    )
+    return dataclasses.replace(ws, components=ws.components + (placed,),
+                               rng_state=g.bit_generator.state,
+                               action_count=ws.action_count + 1)
 
 
 def move_component(ws: Workspace, component_id: str, target: Pose) -> Workspace:
@@ -437,12 +444,10 @@ def move_component(ws: Workspace, component_id: str, target: Pose) -> Workspace:
     """
     comp = ws.component(component_id)
     _check_bounds(ws, target)
-    g = _generator(ws.rng_state)
-    dx = g.normal(0.0, ws.placement_noise_sigma)
-    dy = g.normal(0.0, ws.placement_noise_sigma)
+    g, dx, dy = _grip(ws)
     pose = Pose(target.x + dx, target.y + dy, target.z, target.yaw)
-    moved = dataclasses.replace(comp, pose=pose)
-    return _replace_component(ws, moved, extra={"rng_state": g.bit_generator.state})
+    return _swap(ws, dataclasses.replace(comp, pose=pose),
+                 rng_state=g.bit_generator.state, action_count=ws.action_count + 1)
 
 
 def park_component(ws: Workspace, component_id: str) -> Workspace:
@@ -454,37 +459,26 @@ def park_component(ws: Workspace, component_id: str) -> Workspace:
 
 def turn_knob(ws: Workspace, component_id: str, axis: str, delta_deg: float) -> Workspace:
     """Rotate one mount knob by ``delta_deg`` (additive, no backlash)."""
-    comp = ws.component(component_id)
-    if comp.knobs is None:
-        raise NoKnobsError(f"component {component_id!r} has no knobs")
+    comp, knobs = _knobs(ws, component_id)
     if axis not in ("h", "v"):
         raise WorkspaceError(f"knob axis must be 'h' or 'v', got {axis!r}")
-    knobs = comp.knobs
-    if axis == "h":
-        knobs = dataclasses.replace(knobs, h_deg=knobs.h_deg + delta_deg)
-    else:
-        knobs = dataclasses.replace(knobs, v_deg=knobs.v_deg + delta_deg)
-    return _replace_component(ws, dataclasses.replace(comp, knobs=knobs))
+    name = f"{axis}_deg"
+    knobs = dataclasses.replace(knobs, **{name: getattr(knobs, name) + delta_deg})
+    return _swap(ws, dataclasses.replace(comp, knobs=knobs),
+                 action_count=ws.action_count + 1)
 
 
 def set_knob_readings(ws: Workspace, component_id: str, h_deg: float, v_deg: float) -> Workspace:
     """Turn both knobs to absolute readings (two knob actions)."""
-    comp = ws.component(component_id)
-    if comp.knobs is None:
-        raise NoKnobsError(f"component {component_id!r} has no knobs")
-    ws = turn_knob(ws, component_id, "h", h_deg - comp.knobs.h_deg)
-    return turn_knob(ws, component_id, "v", v_deg - ws.component(component_id).knobs.v_deg)
+    _, knobs = _knobs(ws, component_id)
+    ws = turn_knob(ws, component_id, "h", h_deg - knobs.h_deg)
+    return turn_knob(ws, component_id, "v", v_deg - knobs.v_deg)
 
 
 def knob_readings(ws: Workspace, component_ids) -> dict:
     """Dial readings ``{id: (h_deg, v_deg)}`` of the listed mirrors, in order."""
-    readings = {}
-    for cid in component_ids:
-        knobs = ws.component(cid).knobs
-        if knobs is None:
-            raise NoKnobsError(f"component {cid!r} has no knobs")
-        readings[cid] = (knobs.h_deg, knobs.v_deg)
-    return readings
+    pairs = {cid: _knobs(ws, cid)[1] for cid in component_ids}
+    return {cid: (k.h_deg, k.v_deg) for cid, k in pairs.items()}
 
 
 def apply_knob_readings(ws: Workspace, readings) -> Workspace:
@@ -504,7 +498,8 @@ def rotate_crystal(ws: Workspace, component_id: str, theta_deg: float) -> Worksp
         raise WorkspaceError("theta_deg must be finite")
     params = dict(comp.params)
     params["theta_deg"] = float(theta_deg)
-    return _replace_component(ws, dataclasses.replace(comp, params=params))
+    return _swap(ws, dataclasses.replace(comp, params=params),
+                 action_count=ws.action_count + 1)
 
 
 def inject_displacement(ws: Workspace, component_id: str,
@@ -512,9 +507,7 @@ def inject_displacement(ws: Workspace, component_id: str,
     """External disturbance: offset a pose exactly, leaving snapshot and
     noise stream untouched. Not an arm action, so the action count holds."""
     comp = ws.component(component_id)
-    moved = dataclasses.replace(comp, pose=comp.pose.shifted(dx, dy, dz))
-    comps = [moved if c.id == component_id else c for c in ws.components]
-    return dataclasses.replace(ws, components=_sorted_components(comps))
+    return _swap(ws, dataclasses.replace(comp, pose=comp.pose.shifted(dx, dy, dz)))
 
 
 def randomize_knobs(ws: Workspace, component_ids, min_deg: float = 30.0,
@@ -534,21 +527,13 @@ def randomize_knobs(ws: Workspace, component_ids, min_deg: float = 30.0,
         raise WorkspaceError("need 0 <= min_deg <= max_deg")
     g = _generator(ws.rng_state)
     for cid in ids:
-        comp = ws.component(cid)
-        if comp.knobs is None:
-            raise NoKnobsError(f"component {cid!r} has no knobs")
-        knobs = comp.knobs
+        comp, knobs = _knobs(ws, cid)
         for axis in ("h", "v"):
             magnitude = g.uniform(min_deg, max_deg)
             sign = 1.0 if g.integers(0, 2) == 1 else -1.0
-            delta = sign * magnitude
-            if axis == "h":
-                knobs = dataclasses.replace(knobs, bias_h_deg=knobs.bias_h_deg + delta)
-            else:
-                knobs = dataclasses.replace(knobs, bias_v_deg=knobs.bias_v_deg + delta)
-        comp = dataclasses.replace(comp, knobs=knobs)
-        comps = [comp if c.id == cid else c for c in ws.components]
-        ws = dataclasses.replace(ws, components=_sorted_components(comps))
+            name = f"bias_{axis}_deg"
+            knobs = dataclasses.replace(knobs, **{name: getattr(knobs, name) + sign * magnitude})
+        ws = _swap(ws, dataclasses.replace(comp, knobs=knobs))
     return dataclasses.replace(ws, rng_state=g.bit_generator.state)
 
 
@@ -561,16 +546,12 @@ def set_knob_bias(ws: Workspace, component_id: str, bias_h_deg: float,
     untouched. The controller cannot observe the change except through the
     optics.
     """
-    comp = ws.component(component_id)
-    if comp.knobs is None:
-        raise NoKnobsError(f"component {component_id!r} has no knobs")
+    comp, knobs = _knobs(ws, component_id)
     if not (np.isfinite(bias_h_deg) and np.isfinite(bias_v_deg)):
         raise WorkspaceError("knob bias must be finite")
-    knobs = dataclasses.replace(comp.knobs, bias_h_deg=float(bias_h_deg),
+    knobs = dataclasses.replace(knobs, bias_h_deg=float(bias_h_deg),
                                 bias_v_deg=float(bias_v_deg))
-    comps = [dataclasses.replace(comp, knobs=knobs) if c.id == component_id else c
-             for c in ws.components]
-    return dataclasses.replace(ws, components=_sorted_components(comps))
+    return _swap(ws, dataclasses.replace(comp, knobs=knobs))
 
 
 def reseed(ws: Workspace, seed: int) -> Workspace:

@@ -42,8 +42,6 @@ from .simcore import (
 )
 from .vision import centroid
 
-EXPERIMENTS = ("spatial", "angular", "displacement", "drift", "build")
-
 FIELDS = ("trial", "seed", "success", "iterations", "attempts", "actions",
           "final_error", "ratio", "step", "note")
 
@@ -54,6 +52,17 @@ _TAG_SPATIAL_LENS = 12
 _TAG_ANGULAR = 13
 _TAG_DISPLACEMENT = 14
 _TAG_DRIFT = 15
+
+# Each placement stage, named for the role of the part it places: its
+# battery tag, the range of the part's starting offset in mm, and its search
+# settings.
+_SPATIAL_STAGES = {
+    "oc": (_TAG_SPATIAL_OC, -5.0, 5.0,
+           lambda layout: SpatialOptConfig(tolerance_mm=layout.physics.pump_waist_mm)),
+    "lens": (_TAG_SPATIAL_LENS, -1.25, 0.75,
+             lambda layout: SpatialOptConfig(tolerance_mm=LENS_TOLERANCE_MM,
+                                             max_iters=LENS_MAX_ITERS)),
+}
 
 
 def _child_seed(*parts) -> int:
@@ -88,19 +97,12 @@ def spatial_trials(layout: Layout, master_seed: int, n_trials: int = 20,
     reference; the ``lens`` stage starts in [-1.25, 0.75] mm against its
     tighter focus tolerance.
     """
-    if stage == "oc":
-        tag, lo, hi = _TAG_SPATIAL_OC, -5.0, 5.0
-    elif stage == "lens":
-        tag, lo, hi = _TAG_SPATIAL_LENS, -1.25, 0.75
-    else:
+    if stage not in _SPATIAL_STAGES:
         raise WorkspaceError(f"unknown spatial stage {stage!r}")
+    tag, lo, hi, make_cfg = _SPATIAL_STAGES[stage]
     roles = resolve_roles(layout)
-    target_id = roles.oc if stage == "oc" else roles.lens
-    if stage == "oc":
-        cfg = SpatialOptConfig(tolerance_mm=layout.physics.pump_waist_mm)
-    else:
-        cfg = SpatialOptConfig(tolerance_mm=LENS_TOLERANCE_MM,
-                               max_iters=LENS_MAX_ITERS)
+    target_id = getattr(roles, stage)
+    cfg = make_cfg(layout)
     rows = []
     for i in range(n_trials):
         seed = _child_seed(master_seed, tag, i, 0)
@@ -229,24 +231,28 @@ def build_trials(layout: Layout, seeds) -> list:
     return rows
 
 
+# Each experiment name and its battery, called as (layout, master seed, n).
+_BATTERIES = {
+    "spatial": lambda layout, seed, n: [
+        row for stage in _SPATIAL_STAGES
+        for row in spatial_trials(layout, seed, n, stage=stage)],
+    "angular": angular_trials,
+    "displacement": displacement_trials,
+    "drift": drift_trials,
+    "build": lambda layout, seed, n: build_trials(layout, range(seed, seed + n)),
+}
+EXPERIMENTS = tuple(_BATTERIES)
+
+
 def run_trials(experiment: str, layout: Layout, master_seed: int,
                n_trials: int) -> list:
     """Dispatch one experiment name to its battery."""
     if n_trials < 1:
         raise WorkspaceError("n_trials must be at least 1")
-    if experiment == "spatial":
-        return (spatial_trials(layout, master_seed, n_trials, stage="oc")
-                + spatial_trials(layout, master_seed, n_trials, stage="lens"))
-    if experiment == "angular":
-        return angular_trials(layout, master_seed, n_trials)
-    if experiment == "displacement":
-        return displacement_trials(layout, master_seed, n_trials)
-    if experiment == "drift":
-        return drift_trials(layout, master_seed, n_trials)
-    if experiment == "build":
-        return build_trials(layout, [master_seed + i for i in range(n_trials)])
-    raise WorkspaceError(f"unknown experiment {experiment!r}; "
-                         f"choose from {', '.join(EXPERIMENTS)}")
+    if experiment not in _BATTERIES:
+        raise WorkspaceError(f"unknown experiment {experiment!r}; "
+                             f"choose from {', '.join(EXPERIMENTS)}")
+    return _BATTERIES[experiment](layout, master_seed, n_trials)
 
 
 def aggregate(rows) -> list:

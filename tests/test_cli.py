@@ -1,17 +1,24 @@
 import contextlib
+import copy
+import dataclasses
 import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from importlib import metadata
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cavforge import cli
+from cavforge.layout import default_layout
+from cavforge.physics import PhysicsConfig
 from cavforge.pipeline import PipelineState
+from cavforge.simcore import COMPONENT_PARAMS
 
 
 def _run(argv):
@@ -114,6 +121,62 @@ def test_out_of_range_overrides_exit_2(tmp_path, capsys, override):
     assert code == 2
     assert "error:" in err and "Traceback" not in err
     assert not (tmp_path / "state.json").exists()
+
+
+_JUNK = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e300, -1e300,
+                     1e-300, 0, -1, True, "x", "", None, [], {}, [1.0, 2.0]]),
+    st.floats(-1e3, 1e3),
+    st.integers(-10**20, 10**20),
+)
+_PHYSICS_KEYS = sorted(f.name for f in dataclasses.fields(PhysicsConfig))
+_PARAM_KEYS = sorted({key for params in COMPONENT_PARAMS.values() for key in params})
+_RECORD_KEYS = ["id", "kind", "nominal_x_mm", "nominal_y_mm", "nominal_z_mm",
+                "yaw_deg", "housing_offset_mm", "params"]
+_TOP_KEYS = ["seed", "placement_noise_sigma_mm", "tilt_per_turn_deg",
+             "table_bounds_mm", "components"]
+
+
+@st.composite
+def _junk_layouts(draw):
+    """The stock layout after one to three random edits: a junk value in a
+    physics field, a component parameter, a component field or a top-level
+    field, or a component duplicated or removed."""
+    data = default_layout()
+    comps = data["components"]
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["physics", "param", "record", "top",
+                                     "duplicate", "remove"]))
+        if edit == "physics":
+            data["physics"][draw(st.sampled_from(_PHYSICS_KEYS))] = draw(_JUNK)
+        elif edit == "top":
+            data[draw(st.sampled_from(_TOP_KEYS))] = draw(_JUNK)
+        elif not isinstance(comps, list) or not comps:
+            continue
+        elif edit == "duplicate":
+            comps.append(copy.deepcopy(draw(st.sampled_from(comps))))
+        elif edit == "remove":
+            comps.pop(draw(st.integers(0, len(comps) - 1)))
+        else:
+            rec = draw(st.sampled_from(comps))
+            if edit == "record":
+                rec[draw(st.sampled_from(_RECORD_KEYS))] = draw(_JUNK)
+            elif isinstance(rec.get("params"), dict):
+                rec["params"][draw(st.sampled_from(_PARAM_KEYS))] = draw(_JUNK)
+    return data
+
+
+@settings(max_examples=20, deadline=None)
+@given(_junk_layouts())
+def test_a_random_whole_layout_never_gives_a_traceback(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "layout.json"
+        path.write_text(json.dumps(data))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["build", "--layout", str(path),
+                             "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
 
 
 def test_rayleigh_range_out_of_float_range_fails_its_step(tmp_path, capsys):

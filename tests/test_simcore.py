@@ -3,11 +3,12 @@ import math
 import dataclasses
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cavforge.errors import (DuplicateComponentError, NoKnobsError,
                              NoSnapshotError, OutOfBoundsError,
                              UnknownComponentError, WorkspaceError)
+from cavforge.physics import camera_view
 from cavforge.simcore import (PARK_Y, Component, ComponentKind, KnobPair, Pose,
                               Workspace, apply_knob_readings,
                               detect_displacement, inject_displacement,
@@ -16,6 +17,7 @@ from cavforge.simcore import (PARK_Y, Component, ComponentKind, KnobPair, Pose,
                               place_component, randomize_knobs, reseed,
                               rotate_crystal, set_knob_bias,
                               set_knob_readings, take_snapshot, turn_knob)
+from cavforge.vision import beam_stats, centroid
 
 
 def _ndf(cid="f"):
@@ -26,6 +28,11 @@ def _ndf(cid="f"):
 def _mirror(cid="m"):
     return Component(id=cid, kind=ComponentKind.MIRROR_OC, pose=Pose(0, 0),
                      knobs=KnobPair())
+
+
+def _crystal(cid="x"):
+    return Component(id=cid, kind=ComponentKind.CRYSTAL, pose=Pose(0, 0),
+                     params={"theta_deg": 0.0})
 
 
 def test_normalize_yaw_wraps_into_half_open_interval():
@@ -122,6 +129,60 @@ def test_components_stay_sorted_by_x():
     assert [c.id for c in ws.components] == ["a", "b"]
     ws = move_component(ws, "a", Pose(300.0, 0.0))
     assert [c.id for c in ws.components] == ["b", "a"]
+    ws = place_component(ws, _mirror(), Pose(150.0, 0.0))
+    ws = place_component(ws, _crystal(), Pose(150.0, 5.0))  # ties m on x
+    assert [c.id for c in ws.components] == ["m", "x", "b", "a"]
+    # each mutator keeps beam order, leaves every component it does not
+    # change the identical object, and counts one action per arm action
+    # (set_knob_readings is two knob turns)
+    mutators = [
+        (lambda w: place_component(w, _ndf("c"), Pose(150.0, -5.0)), {"c"}, 1),
+        (lambda w: move_component(w, "b", Pose(400.0, 0.0)), {"b"}, 1),
+        (lambda w: park_component(w, "a"), {"a"}, 1),
+        (lambda w: turn_knob(w, "m", "v", 3.0), {"m"}, 1),
+        (lambda w: set_knob_readings(w, "m", 5.0, -5.0), {"m"}, 2),
+        (lambda w: rotate_crystal(w, "x", 0.5), {"x"}, 1),
+        (take_snapshot, set(), 1),
+        (lambda w: inject_displacement(w, "b", dx=-120.0), {"b"}, 0),
+        (lambda w: randomize_knobs(w, ["m"]), {"m"}, 0),
+        (lambda w: set_knob_bias(w, "m", 7.0, -7.0), {"m"}, 0),
+        (lambda w: reseed(w, 3), set(), 0),
+    ]
+    for mutate, changed, actions in mutators:
+        after = mutate(ws)
+        order = [(c.pose.x, c.seq) for c in after.components]
+        assert order == sorted(order)
+        for c in ws.components:
+            if c.id not in changed:
+                assert after.component(c.id) is c
+        assert after.action_count == ws.action_count + actions
+    assert [c.id for c in inject_displacement(ws, "b", dx=-120.0).components] \
+        == ["b", "m", "x", "a"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_beam_order_belongs_to_the_workspace_type(built, data):
+    # the constructor, dataclasses.replace and from_dict each restore the
+    # built bench's order from any permutation, and the cameras see the
+    # same bench bit for bit
+    ws = built.ws
+    fields = {f.name: getattr(ws, f.name) for f in dataclasses.fields(Workspace)}
+    saved = ws.to_dict()
+    saved["components"] = data.draw(st.permutations(saved["components"]))
+    shuffled = data.draw(st.permutations(ws.components))
+    made = [Workspace(**{**fields, "components": shuffled}),
+            dataclasses.replace(ws, components=tuple(shuffled)),
+            Workspace.from_dict(saved, physics=ws.physics)]
+
+    def seen(w):
+        frames = [camera_view(w, cam) for cam in ("cam1", "cam2")]
+        return [(repr(centroid(f)), repr(beam_stats(f))) for f in frames]
+
+    expected = seen(ws)
+    for w in made:
+        assert w.components == ws.components
+        assert seen(w) == expected
 
 
 def test_park_component_leaves_beam_line():
