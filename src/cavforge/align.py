@@ -643,8 +643,6 @@ def crystal_sweep(ws: Workspace, crystal_id: str, camera_id: str):
     """
     actions0 = ws.action_count
     trace = OptTrace(method="sweep")
-    best_theta = None
-    best_total = 0.0
     steps = int(round(_SWEEP_MAX_DEG / _SWEEP_STEP_DEG))
     for i in range(steps + 1):
         theta = i * _SWEEP_STEP_DEG
@@ -653,11 +651,11 @@ def crystal_sweep(ws: Workspace, crystal_id: str, camera_id: str):
         spot = centroid(frame)
         total = spot.total_intensity if spot.detected else 0.0
         trace.record((theta,), -total)
-        if spot.detected and total > best_total:
-            best_theta, best_total = theta, total
-    if best_theta is None:
+    # a detected spot's total is positive, so -0.0 means no angle lit the camera
+    if not trace.best_objective < 0.0:
         raise NoLasingError(
             f"no emission on {camera_id} for crystal angles 0.0 to {_SWEEP_MAX_DEG}")
+    best_theta = trace.best_params[0]
     ws = rotate_crystal(ws, crystal_id, best_theta)
     trace.converged = True
     trace.wall_actions = ws.action_count - actions0

@@ -36,8 +36,12 @@ from .pipeline import (
     run_construction,
     surveillance_tick,
 )
-from .simcore import (KNOB_SPAN_DEG, ComponentKind, Interval, inject_displacement,
-                      randomize_knobs)
+from .simcore import (ANY, KNOB_SPAN_DEG, ComponentKind, Interval,
+                      inject_displacement, randomize_knobs)
+
+# a power curve fits a line through at least two samples
+_CURVE_POINTS = Interval(2)
+_TRIAL_COUNT = Interval(1)
 
 
 def _load_layout(args):
@@ -126,6 +130,8 @@ def cmd_perturb(args) -> int:
     if args.kind == "displace":
         if not args.component_id:
             raise LayoutError("perturb displace requires --id")
+        check_value(args.dx, float, ANY, "--dx")
+        check_value(args.dy, float, ANY, "--dy")
         state.ws = inject_displacement(state.ws, args.component_id,
                                        dx=args.dx, dy=args.dy)
     else:
@@ -161,6 +167,7 @@ def cmd_recover(args) -> int:
 
 
 def cmd_trial_batch(args) -> int:
+    check_value(args.n_trials, int, _TRIAL_COUNT, "-n")
     layout = _load_layout(args)
     seed = layout.seed if args.seed is None else args.seed
     out = _ensure_out(args)
@@ -176,6 +183,7 @@ def cmd_trial_batch(args) -> int:
 
 
 def cmd_power_curve(args) -> int:
+    check_value(args.points, int, _CURVE_POINTS, "--points")
     state = _load_state(args)
     out = _ensure_out(args)
     pump = state.ws.find_kind(ComponentKind.PUMP_SOURCE)[0]

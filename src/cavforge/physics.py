@@ -12,7 +12,10 @@ Components sit nominally perpendicular to the axis:
 * a beam splitter forwards a pick-off into its side arm, folded onto a
   virtual plane one arm length beyond the splitter.
 
-Gaussian beam size propagates through the complex q parameter. The lasing
+Gaussian beam size propagates through the complex q parameter. One ray
+runner traces both the pump and the crystal's laser emission: each is a
+starting ray and its q, and the laser's camera hits carry the cavity's
+transverse mode order from the moment they are made. The lasing
 behaviour itself is phenomenological: a misalignment metric built from
 mirror tilts, lens offset, and crystal angle sets the threshold, the output
 power above it, and the transverse mode order.
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -230,8 +233,8 @@ def q_through_lens(q, focal_mm):
 
 
 class _Ray:
-    """One branch of the beam. ``_run_rays`` advances a ray in place and
-    copies it only where a mirror splits it in two."""
+    """One branch of the beam. ``_trace`` advances a ray in place and copies
+    it only where a mirror splits it in two."""
 
     __slots__ = ("x", "y", "z", "sy", "sz", "sign", "power", "wavelength", "q",
                  "n_bounces")
@@ -263,12 +266,11 @@ def _mirror_tilts_rad(comp: Component):
     return math.radians(h), math.radians(v)
 
 
-def _aperture(comp: Component, cfg: PhysicsConfig):
-    # Layouts cannot give the pump an aperture; it takes the default.
-    if comp.kind == ComponentKind.PUMP_SOURCE:
-        return cfg.aperture_mm
-    aperture = comp.param("aperture_mm")
-    return cfg.aperture_mm if aperture is None else float(aperture)
+def _pump(ws: Workspace) -> Component:
+    pumps = ws.find_kind(ComponentKind.PUMP_SOURCE)
+    if not pumps:
+        raise TraceError("no pump source on the table")
+    return pumps[0]
 
 
 def trace_beam(ws: Workspace) -> TraceResult:
@@ -280,42 +282,36 @@ def trace_beam(ws: Workspace) -> TraceResult:
     branches are processed in creation order.
     """
     cfg: PhysicsConfig = ws.physics or PhysicsConfig()
-    pumps = ws.find_kind(ComponentKind.PUMP_SOURCE)
-    if not pumps:
-        raise TraceError("no pump source on the table")
-    pump = pumps[0]
-    power0 = float(pump.param("power"))
+    pump = _pump(ws)
     waist = pump.param("waist_mm")
     waist = cfg.pump_waist_mm if waist is None else float(waist)
-    ray0 = _Ray(
+    return _trace(ws, cfg, _Ray(
         x=pump.pose.x,
         y=pump.pose.y,
         z=pump.pose.z,
         sy=math.tan(math.radians(pump.pose.yaw)),
         sz=0.0,
         sign=1,
-        power=power0,
+        power=float(pump.param("power")),
         wavelength="pump",
         q=q_at_waist(waist, cfg.pump_wavelength_mm),
         n_bounces=0,
-    )
-    result = TraceResult()
-    _run_rays(ws, [ray0], result, power_floor=power0 * cfg.min_power_fraction)
-    return result
+    ))
 
 
-def _run_rays(ws: Workspace, queue, result: TraceResult, power_floor):
-    cfg: PhysicsConfig = ws.physics or PhysicsConfig()
-    wavelength_mm = {
-        "pump": cfg.pump_wavelength_mm,
-        "laser": cfg.laser_wavelength_mm,
-    }
+def _trace(ws: Workspace, cfg: PhysicsConfig, ray0: _Ray, mode_order=0) -> TraceResult:
+    """Trace ``ray0`` and every branch it splits into; each camera hit
+    carries ``mode_order``. Branches below ``ray0.power`` times
+    ``cfg.min_power_fraction`` die."""
+    power_floor = ray0.power * cfg.min_power_fraction
+    lam = cfg.pump_wavelength_mm if ray0.wavelength == "pump" else cfg.laser_wavelength_mm
     table, table_x = _aperture_table(ws.components, cfg)
+    result = TraceResult()
+    queue = [ray0]
     while queue:
         ray = queue.pop(0)
         if ray.power < power_floor or ray.n_bounces > cfg.max_bounces:
             continue
-        lam = wavelength_mm[ray.wavelength]
         nxt = _next_component(table, table_x, ray)
         if nxt is None:
             continue
@@ -330,7 +326,8 @@ def _run_rays(ws: Workspace, queue, result: TraceResult, power_floor):
 
         kind = comp.kind
         if kind == ComponentKind.CAMERA:
-            _record_camera_hit(result, comp, ray, y_at, z_at, lam)
+            _record_hit(result, comp.id, ray, y_at - comp.pose.y, z_at - comp.pose.z,
+                        beam_radius(ray.q, lam), ray.power, mode_order)
             continue
         if kind == ComponentKind.BEAM_BLOCK:
             continue
@@ -352,8 +349,16 @@ def _run_rays(ws: Workspace, queue, result: TraceResult, power_floor):
             queue.append(ray)
             continue
         if kind == ComponentKind.BEAM_SPLITTER:
-            _record_side_hit(ws, result, comp, ray, y_at, z_at, lam)
-            ray.power = ray.power * (1.0 - float(comp.param("split_ratio")))
+            ratio = float(comp.param("split_ratio"))
+            cam_id = comp.param("arm_camera")
+            if cam_id is not None and ws.has(cam_id):
+                cam = ws.component(cam_id)
+                arm = abs(cam.pose.y - comp.pose.y)
+                u = (y_at - comp.pose.y) + ray.sign * ray.sy * arm - (cam.pose.x - comp.pose.x)
+                v = (z_at - comp.pose.z) + ray.sign * ray.sz * arm - cam.pose.z
+                _record_hit(result, cam_id, ray, u, v, beam_radius(ray.q + arm, lam),
+                            ray.power * ratio, mode_order)
+            ray.power = ray.power * (1.0 - ratio)
             queue.append(ray)
             continue
         if kind in (ComponentKind.MIRROR_IC, ComponentKind.MIRROR_OC):
@@ -378,6 +383,7 @@ def _run_rays(ws: Workspace, queue, result: TraceResult, power_floor):
                 queue.append(ray)
             continue
         raise TraceError(f"unhandled component kind {kind}")
+    return result
 
 
 def _aperture_table(comps, cfg: PhysicsConfig):
@@ -385,12 +391,16 @@ def _aperture_table(comps, cfg: PhysicsConfig):
     workspace keeps in beam order, and the x values.
 
     ``half_width`` is a camera's body half-width, or any other component's
-    aperture.
+    aperture. Layouts cannot give the pump an aperture; it takes the default.
     """
     table = []
     for c in comps:
-        camera = c.kind == ComponentKind.CAMERA
-        half = float(c.param("body_halfwidth_mm")) if camera else _aperture(c, cfg)
+        if c.kind == ComponentKind.CAMERA:
+            half = float(c.param("body_halfwidth_mm"))
+        elif c.kind == ComponentKind.PUMP_SOURCE or c.param("aperture_mm") is None:
+            half = cfg.aperture_mm
+        else:
+            half = float(c.param("aperture_mm"))
         table.append((c.pose.x, c.pose.y, c.pose.z, half, c))
     return table, [row[0] for row in table]
 
@@ -434,40 +444,10 @@ def _through_lens(ray: _Ray, comp: Component, focal_mm: float) -> None:
     ray.q = q_through_lens(ray.q, focal_mm)
 
 
-def _record_camera_hit(result: TraceResult, cam: Component, ray: _Ray,
-                       y_at, z_at, lam):
-    hit = CameraHit(
-        camera_id=cam.id,
-        u_mm=y_at - cam.pose.y,
-        v_mm=z_at - cam.pose.z,
-        w_mm=beam_radius(ray.q, lam),
-        power=ray.power,
-        wavelength=ray.wavelength,
-        n_bounces=ray.n_bounces,
-    )
-    result.hits.setdefault(cam.id, []).append(hit)
-
-
-def _record_side_hit(ws: Workspace, result: TraceResult, bs: Component,
-                     ray: _Ray, y_at, z_at, lam):
-    cam_id = bs.param("arm_camera")
-    if cam_id is None or not ws.has(cam_id):
-        return
-    cam = ws.component(cam_id)
-    arm = abs(cam.pose.y - bs.pose.y)
-    ratio = float(bs.param("split_ratio"))
-    u = (y_at - bs.pose.y) + ray.sign * ray.sy * arm - (cam.pose.x - bs.pose.x)
-    v = (z_at - bs.pose.z) + ray.sign * ray.sz * arm - cam.pose.z
-    hit = CameraHit(
-        camera_id=cam_id,
-        u_mm=u,
-        v_mm=v,
-        w_mm=beam_radius(ray.q + arm, lam),
-        power=ray.power * ratio,
-        wavelength=ray.wavelength,
-        n_bounces=ray.n_bounces,
-    )
-    result.hits.setdefault(cam_id, []).append(hit)
+def _record_hit(result: TraceResult, camera_id, ray: _Ray, u, v, w, power, mode_order):
+    result.hits.setdefault(camera_id, []).append(CameraHit(
+        camera_id=camera_id, u_mm=u, v_mm=v, w_mm=w, power=power,
+        wavelength=ray.wavelength, n_bounces=ray.n_bounces, mode_order=mode_order))
 
 
 # ---------------------------------------------------------------------------
@@ -516,19 +496,14 @@ def cavity_response(ws: Workspace, pump_power=None, trace=None) -> CavityState:
     falls into.
     """
     cfg: PhysicsConfig = ws.physics or PhysicsConfig()
-    missing = [k.value for k in _CAVITY_KINDS if not ws.find_kind(k)]
+    parts = [ws.find_kind(k) for k in _CAVITY_KINDS]
+    missing = [k.value for k, found in zip(_CAVITY_KINDS, parts) if not found]
     if missing:
         raise MissingComponentError(f"cavity incomplete, missing: {', '.join(missing)}")
-    ic = ws.find_kind(ComponentKind.MIRROR_IC)[0]
-    oc = ws.find_kind(ComponentKind.MIRROR_OC)[0]
-    lens = ws.find_kind(ComponentKind.LENS)[0]
-    crystal = ws.find_kind(ComponentKind.CRYSTAL)[0]
+    ic, oc, lens, crystal = (found[0] for found in parts)
 
     if pump_power is None:
-        pump = ws.find_kind(ComponentKind.PUMP_SOURCE)
-        if not pump:
-            raise TraceError("no pump source on the table")
-        pump_power = float(pump[0].param("power"))
+        pump_power = _pump(ws).param("power")
     pump_power = float(pump_power)
 
     if trace is None:
@@ -564,15 +539,10 @@ def cavity_response(ws: Workspace, pump_power=None, trace=None) -> CavityState:
     lasing = bool(pumped and m < cfg.m_cutoff and pump_power > threshold)
     output = cfg.slope_efficiency * (pump_power - threshold) if lasing else 0.0
 
-    mode_order = len(cfg.mode_band_edges)
-    for n, edge in enumerate(cfg.mode_band_edges):
-        if m < edge:
-            mode_order = n
-            break
     return CavityState(
         lasing=lasing,
         output_power=output,
-        mode_order=mode_order,
+        mode_order=bisect.bisect_right(cfg.mode_band_edges, m),
         misalignment=m,
         threshold=threshold,
         pump_power=pump_power,
@@ -596,28 +566,21 @@ def fluorescence_power(cav: CavityState, cfg: PhysicsConfig) -> float:
     return cfg.fluorescence_scale * clamped / (1.0 + cfg.threshold_curvature * m * m)
 
 
-def _laser_hits(ws: Workspace, cav: CavityState, trace: TraceResult):
+def _laser_hits(ws: Workspace, cav: CavityState, trace: TraceResult) -> TraceResult:
     """Trace laser-wavelength emission (lasing plus glow) from the crystal."""
     cfg: PhysicsConfig = ws.physics or PhysicsConfig()
     crystal = ws.find_kind(ComponentKind.CRYSTAL)[0]
     arrival = trace.primary_at.get(crystal.id)
     power = cav.output_power + fluorescence_power(cav, cfg)
     if arrival is None or power <= 0.0:
-        return []
+        return TraceResult()
     y, z, sy, sz = arrival
-    ray = _Ray(
+    return _trace(ws, cfg, _Ray(
         x=crystal.pose.x, y=y, z=z, sy=sy, sz=sz, sign=1,
         power=power, wavelength="laser",
         q=q_at_waist(cfg.laser_waist_mm, cfg.laser_wavelength_mm),
         n_bounces=0,
-    )
-    sub = TraceResult()
-    _run_rays(ws, [ray], sub, power_floor=power * cfg.min_power_fraction)
-    out = []
-    for hits in sub.hits.values():
-        for h in hits:
-            out.append(replace(h, mode_order=cav.mode_order))
-    return out
+    ), cav.mode_order)
 
 
 def camera_view(ws: Workspace, camera_id: str) -> CameraFrame:
@@ -630,6 +593,5 @@ def camera_view(ws: Workspace, camera_id: str) -> CameraFrame:
     hits = list(tr.camera_hits(camera_id))
     if all(ws.find_kind(k) for k in _CAVITY_KINDS):
         cav = cavity_response(ws, trace=tr)
-        hits.extend(h for h in _laser_hits(ws, cav, tr)
-                    if h.camera_id == camera_id)
+        hits.extend(_laser_hits(ws, cav, tr).camera_hits(camera_id))
     return render_frame(hits, cam)

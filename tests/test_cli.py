@@ -433,6 +433,22 @@ def test_a_knob_disturbance_out_of_range_exits_2(built_dir, tmp_path, capsys,
     assert (tmp_path / "state.json").read_bytes() == saved
 
 
+@pytest.mark.parametrize("argv, words", [
+    (["power-curve", "--points", "-1"], "--points must be >= 2"),
+    (["power-curve", "--points", "0"], "--points must be >= 2"),
+    (["power-curve", "--points", "1"], "--points must be >= 2"),
+    (["trial-batch", "spatial", "-n", "0"], "-n must be >= 1"),
+    (["perturb", "displace", "--id", "lens", "--dx", "inf"], "--dx must be a finite number"),
+    (["perturb", "displace", "--id", "lens", "--dy", "nan"], "--dy must be a finite number"),
+])
+def test_a_flag_value_that_can_never_work_exits_2(built_dir, tmp_path, capsys, argv, words):
+    saved = (built_dir / "state.json").read_bytes()
+    (tmp_path / "state.json").write_bytes(saved)
+    _assert_exit_2([*argv, "--out", str(tmp_path)], capsys, words)
+    assert (tmp_path / "state.json").read_bytes() == saved
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json"]
+
+
 def _checkout_env():
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -80,6 +80,41 @@ def test_the_guard_sees_an_unused_import(tmp_path):
                                           "bad.py:5: set_knob_readings"]
 
 
+def _unused_helpers(paths):
+    # the names each top-level statement of each module refers to
+    refs = {}
+    defs = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for k, stmt in enumerate(tree.body):
+            refs[path, k] = {n.id if isinstance(n, ast.Name) else n.attr
+                             for n in ast.walk(stmt)
+                             if isinstance(n, (ast.Name, ast.Attribute))}
+            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and stmt.name.startswith("_") and not stmt.name.startswith("__")):
+                defs.append((path, k, stmt))
+    for path, k, stmt in defs:
+        # a use inside its own definition, such as recursion, does not count
+        if not any(stmt.name in names for key, names in refs.items() if key != (path, k)):
+            yield f"{path.name}:{stmt.lineno}: {stmt.name}"
+
+
+def test_every_private_helper_is_used():
+    sources = sorted(SRC.glob("*.py"))
+    assert len(sources) > 5
+    assert list(_unused_helpers(sources)) == []
+
+
+def test_the_guard_sees_an_unused_helper(tmp_path):
+    a = tmp_path / "a.py"
+    a.write_text("def _used():\n    pass\n\n\n"
+                 "def _helper(n):\n    return _helper(n - 1) if n else _used()\n\n\n"
+                 "class _Seen:\n    pass\n")
+    b = tmp_path / "b.py"
+    b.write_text("from . import a\nprint(a._Seen)\n")
+    assert list(_unused_helpers([a, b])) == ["a.py:5: _helper"]
+
+
 def test_the_program_does_not_import_scipy_optimize():
     # The probe refinement is cavforge's own stencil search, so artifacts do
     # not depend on the installed SciPy's optimizer.

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from _benches import bench, camera, lens, make_cavity, mirror, pump
+from cavforge import physics
 from cavforge.errors import MissingComponentError, TraceError, WorkspaceError
 from cavforge.physics import (CameraFrame, PhysicsConfig, beam_radius,
                               camera_view, cavity_response,
@@ -248,6 +249,45 @@ def test_cavity_passes_cutoff_and_threshold_gates():
         ws, components=tuple(c for c in ws.components if c.id != "crystal"))
     with pytest.raises(MissingComponentError):
         cavity_response(incomplete)
+
+
+def _with_band_edges(ws, edges):
+    return dataclasses.replace(
+        ws, physics=dataclasses.replace(ws.physics, mode_band_edges=edges))
+
+
+def test_the_mode_band_counts_reaching_an_edge():
+    ws = make_cavity(tilt_oc_deg=0.03)
+    m = cavity_response(ws).misalignment
+    assert 0.0 < m < math.inf
+    assert cavity_response(_with_band_edges(ws, (m / 2, m, 2 * m))).mode_order == 2
+    assert cavity_response(_with_band_edges(ws, (2 * m, 3 * m))).mode_order == 0
+    # a beam that misses the lens has m = inf, past every edge
+    missed = _with_band_edges(make_cavity(lens_dy=12.0), (1.0, 2.0, 3.0))
+    assert math.isinf(cavity_response(missed).misalignment)
+    assert cavity_response(missed).mode_order == 3
+
+
+@pytest.mark.parametrize("tilt_oc_deg, order", [(0.0, 0), (0.03, 1)])
+def test_laser_hits_carry_the_cavity_mode_order(monkeypatch, tilt_oc_deg, order):
+    # without the line filter, cam1 sees the pump as well as the laser
+    ws = make_cavity(tilt_oc_deg=tilt_oc_deg)
+    ws = dataclasses.replace(ws, components=tuple(c for c in ws.components
+                                                  if c.id != "bpf"))
+    assert cavity_response(ws).mode_order == order
+    rendered = []
+    render = physics.render_frame
+
+    def record(hits, cam):
+        rendered.extend(hits)
+        return render(hits, cam)
+
+    monkeypatch.setattr(physics, "render_frame", record)
+    camera_view(ws, "cam1")
+    laser_orders = [h.mode_order for h in rendered if h.wavelength == "laser"]
+    pump_orders = [h.mode_order for h in rendered if h.wavelength == "pump"]
+    assert laser_orders and laser_orders == [order] * len(laser_orders)
+    assert pump_orders and pump_orders == [0] * len(pump_orders)
 
 
 def test_beam_missing_the_lens_kills_the_metric():
