@@ -310,9 +310,16 @@ def latin_hypercube(rng: np.random.Generator, bounds, n: int) -> np.ndarray:
     """n stratified samples inside ``bounds``, one stratum per row per dim."""
     b = np.asarray(bounds, dtype=float)
     d = b.shape[0]
-    strata = np.column_stack([rng.permutation(n) for _ in range(d)])
-    u = (strata + rng.uniform(0.0, 1.0, size=(n, d))) / n
-    return b[:, 0] + u * (b[:, 1] - b[:, 0])
+    # (strata + jitter) / n * width + lo, in one array: a stratum index is
+    # exact as a float, so each step rounds as the expression does
+    out = np.empty((n, d))
+    for j in range(d):
+        out[:, j] = rng.permutation(n)
+    out += rng.uniform(0.0, 1.0, size=(n, d))
+    out /= n
+    out *= b[:, 1] - b[:, 0]
+    out += b[:, 0]
+    return out
 
 
 class GaussianProcess:
@@ -330,10 +337,10 @@ class GaussianProcess:
         self.noise_scale = float(noise_scale)
         self._X = None
 
-    def _kernel(self, a, b):
+    def _kernel(self, a, b, out=None):
         # exp(-0.5 * d2 / l^2) in place, its operations in that order so
         # the bits match the expression
-        k = cdist(a, b, metric="sqeuclidean")
+        k = cdist(a, b, metric="sqeuclidean", out=out)
         k *= -0.5
         k /= self.length_scale ** 2
         return np.exp(k, out=k)
@@ -359,6 +366,9 @@ class GaussianProcess:
         # every row's variance from one matrix product with this factor.
         self._inv_factor_t = _lapack(trtrs, factor, np.eye(len(X)),
                                      lower=True, trans=1)
+        # predict's kernel and variance rows; a batch of m rows uses the
+        # first m, and a larger batch replaces them
+        self._work = np.empty((2, 0, len(X)))
         return self
 
     def predict(self, Xs, mean_only=False):
@@ -368,14 +378,19 @@ class GaussianProcess:
             raise WorkspaceError("predict before fit")
         # an infinite row would score as the prior, a NaN one as NaN
         Xs = np.asarray_chkfinite(np.atleast_2d(np.asarray(Xs, dtype=float)))
-        Ks = self._kernel(Xs, self._X)
+        m = len(Xs)
+        if m > self._work.shape[1]:
+            self._work = np.empty((2, m, len(self._X)))
+        Ks = self._kernel(Xs, self._X, out=self._work[0, :m])
         Ks *= self._sf2
         mu = self._mean + Ks @ self._alpha
         if mean_only:
             return mu
-        W = Ks @ self._inv_factor_t
-        var = self._sf2 - np.einsum("ij,ij->i", W, W)
-        return mu, np.sqrt(np.clip(var, 1e-18, None))
+        W = np.matmul(Ks, self._inv_factor_t, out=self._work[1, :m])
+        var = np.einsum("ij,ij->i", W, W)
+        np.subtract(self._sf2, var, out=var)
+        np.clip(var, 1e-18, None, out=var)
+        return mu, np.sqrt(var, out=var)
 
 
 def _lapack(routine, *args, **kwargs):
@@ -393,10 +408,22 @@ def expected_improvement(mu, sigma, best):
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     improve = best - mu
-    z = np.divide(improve, sigma, out=np.zeros_like(mu), where=sigma > 0)
-    pdf = np.exp(-0.5 * z * z) / _SQRT_2PI
-    ei = improve * ndtr(z) + sigma * pdf
-    return np.where(sigma > 0, ei, np.maximum(improve, 0.0))
+    positive = sigma > 0
+    z = np.divide(improve, sigma, out=np.zeros_like(mu), where=positive)
+    # improve * ndtr(z) + sigma * exp(-0.5 * z * z) / sqrt(2 pi), each
+    # product and sum rounded as written, in the two temporaries
+    pdf = np.multiply(z, -0.5)
+    pdf *= z
+    np.exp(pdf, out=pdf)
+    pdf /= _SQRT_2PI
+    pdf *= sigma
+    ei = ndtr(z, out=z)
+    ei *= improve
+    ei += pdf
+    # no uncertainty left: the improvement itself, if any
+    np.maximum(improve, 0.0, out=improve)
+    np.copyto(ei, improve, where=~positive)
+    return ei
 
 
 def _space_filling(rng, bounds, observed):

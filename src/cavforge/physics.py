@@ -86,6 +86,8 @@ class CameraHit:
 class TraceResult:
     hits: dict = field(default_factory=dict)
     primary_at: dict = field(default_factory=dict)
+    # the traced workspace's aperture table, for the next trace through it
+    _table: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def camera_hits(self, camera_id):
         return self.hits.get(camera_id, [])
@@ -299,20 +301,25 @@ def trace_beam(ws: Workspace) -> TraceResult:
     ))
 
 
-def _trace(ws: Workspace, cfg: PhysicsConfig, ray0: _Ray, mode_order=0) -> TraceResult:
+def _trace(ws: Workspace, cfg: PhysicsConfig, ray0: _Ray, mode_order=0,
+           table=None) -> TraceResult:
     """Trace ``ray0`` and every branch it splits into; each camera hit
     carries ``mode_order``. Branches below ``ray0.power`` times
-    ``cfg.min_power_fraction`` die."""
+    ``cfg.min_power_fraction`` die. ``table`` is ``ws``'s aperture table,
+    built here if not given."""
     power_floor = ray0.power * cfg.min_power_fraction
     lam = cfg.pump_wavelength_mm if ray0.wavelength == "pump" else cfg.laser_wavelength_mm
-    table, table_x = _aperture_table(ws.components, cfg)
+    if table is None:
+        table = _aperture_table(ws.components, cfg)
+    rows, table_x = table
     result = TraceResult()
+    result._table = table
     queue = [ray0]
     while queue:
         ray = queue.pop(0)
         if ray.power < power_floor or ray.n_bounces > cfg.max_bounces:
             continue
-        nxt = _next_component(table, table_x, ray)
+        nxt = _next_component(rows, table_x, ray)
         if nxt is None:
             continue
         comp, y_at, z_at = nxt
@@ -567,7 +574,8 @@ def fluorescence_power(cav: CavityState, cfg: PhysicsConfig) -> float:
 
 
 def _laser_hits(ws: Workspace, cav: CavityState, trace: TraceResult) -> TraceResult:
-    """Trace laser-wavelength emission (lasing plus glow) from the crystal."""
+    """Trace laser-wavelength emission (lasing plus glow) from the crystal,
+    through the aperture table of ``trace``, the pump trace of ``ws``."""
     cfg: PhysicsConfig = ws.physics or PhysicsConfig()
     crystal = ws.find_kind(ComponentKind.CRYSTAL)[0]
     arrival = trace.primary_at.get(crystal.id)
@@ -580,7 +588,7 @@ def _laser_hits(ws: Workspace, cav: CavityState, trace: TraceResult) -> TraceRes
         power=power, wavelength="laser",
         q=q_at_waist(cfg.laser_waist_mm, cfg.laser_wavelength_mm),
         n_bounces=0,
-    ), cav.mode_order)
+    ), cav.mode_order, trace._table)
 
 
 def camera_view(ws: Workspace, camera_id: str) -> CameraFrame:

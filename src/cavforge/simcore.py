@@ -11,6 +11,7 @@ Units are millimetres and degrees throughout.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -305,8 +306,10 @@ class Workspace:
 
     ``components`` are in beam order, by ``(pose.x, seq)``: every
     construction restores it, ``dataclasses.replace`` and :meth:`from_dict`
-    (a loaded ``state.json``) included. ``physics`` is the simulation
-    constant block consumed by the optics layer; it rides along opaquely here.
+    (a loaded ``state.json``) included, and a component change that keeps
+    its ``(pose.x, seq)`` keeps it without a sort. ``physics`` is the
+    simulation constant block consumed by the optics layer; it rides along
+    opaquely here.
     """
 
     components: tuple[Component, ...] = ()
@@ -331,7 +334,16 @@ class Workspace:
         return any(c.id == component_id for c in self.components)
 
     def find_kind(self, kind: ComponentKind) -> list[Component]:
-        return [c for c in self.components if c.kind == kind]
+        return list(self._by_kind.get(kind, ()))
+
+    @functools.cached_property
+    def _by_kind(self):
+        # every kind's components in one pass, the first time one is asked
+        # for; not a field, so equality, repr and to_dict never see it
+        index = {}
+        for c in self.components:
+            index.setdefault(c.kind, []).append(c)
+        return index
 
     def to_dict(self):
         d = {
@@ -385,10 +397,26 @@ def _check_bounds(ws: Workspace, target: Pose):
         )
 
 
+_WORKSPACE_FIELDS = tuple(f.name for f in dataclasses.fields(Workspace))
+
+
 def _swap(ws: Workspace, updated: Component, **changes) -> Workspace:
-    """``ws`` with ``updated`` in place of the component with its id."""
-    comps = [updated if c.id == updated.id else c for c in ws.components]
-    return dataclasses.replace(ws, components=comps, **changes)
+    """``ws`` with ``updated`` in place of the component with its id.
+
+    When ``updated`` keeps the beam-order key ``(pose.x, seq)``, as a knob
+    turn does, the components stay in order and the new workspace is built
+    without ``__post_init__``'s sort.
+    """
+    comps = list(ws.components)
+    k = [c.id for c in comps].index(updated.id)
+    in_order = (comps[k].pose.x, comps[k].seq) == (updated.pose.x, updated.seq)
+    comps[k] = updated
+    if not in_order:
+        return dataclasses.replace(ws, components=comps, **changes)
+    new = object.__new__(Workspace)
+    vars(new).update({name: getattr(ws, name) for name in _WORKSPACE_FIELDS},
+                     components=tuple(comps), **changes)
+    return new
 
 
 def _knobs(ws: Workspace, component_id: str) -> tuple[Component, KnobPair]:

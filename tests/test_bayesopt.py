@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
@@ -421,3 +422,78 @@ def test_bayesian_optimize_replays_its_frozen_history(objective, bounds, seed,
                                     np.random.default_rng(seed), **kwargs)
     assert [(it.params, it.objective) for it in trace.iterations] \
         == list(history)
+
+
+def _predict_as_expressions(gp, Xs):
+    # the posterior as formed before predict reused its work arrays
+    Ks = cdist(Xs, gp._X, metric="sqeuclidean")
+    Ks *= -0.5
+    Ks /= gp.length_scale ** 2
+    np.exp(Ks, out=Ks)
+    Ks *= gp._sf2
+    mu = gp._mean + Ks @ gp._alpha
+    W = Ks @ gp._inv_factor_t
+    var = gp._sf2 - np.einsum("ij,ij->i", W, W)
+    return mu, np.sqrt(np.clip(var, 1e-18, None))
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_predict_reuses_its_work_arrays_but_never_its_results(d):
+    X, y = _observations(d, d)
+    gp = GaussianProcess(1.2, 1e-4).fit(np.vstack(X), np.asarray(y))
+    rng = np.random.default_rng(d)
+    # a large batch, two of equal size that reuse its rows, a larger one
+    batches = [rng.uniform(-4.0, 4.0, (m, d)) for m in (300, 40, 40, 500)]
+    results = []
+    for Xs in batches:
+        mu, sigma = gp.predict(Xs)
+        want = _predict_as_expressions(gp, Xs)
+        assert repr(mu.tolist()) == repr(want[0].tolist())
+        assert repr(sigma.tolist()) == repr(want[1].tolist())
+        assert repr(gp.predict(Xs, mean_only=True).tolist()) == repr(mu.tolist())
+        results.append((mu, sigma, mu.copy(), sigma.copy()))
+    arrays = [a for mu, sigma, _, _ in results for a in (mu, sigma)]
+    for i, a in enumerate(arrays):
+        assert all(not np.shares_memory(a, b) for b in arrays[i + 1:])
+    for mu, sigma, mu_then, sigma_then in results:
+        np.testing.assert_array_equal(mu, mu_then)
+        np.testing.assert_array_equal(sigma, sigma_then)
+
+
+def _ei_as_expressions(mu, sigma, best):
+    # expected improvement as one masked expression, before it worked in place
+    improve = best - mu
+    z = np.divide(improve, sigma, out=np.zeros_like(mu), where=sigma > 0)
+    pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    ei = improve * scipy.special.ndtr(z) + sigma * pdf
+    return np.where(sigma > 0, ei, np.maximum(improve, 0.0))
+
+
+@pytest.mark.parametrize("zeros", [False, True], ids=["uncertain", "zero-sigma"])
+def test_expected_improvement_is_the_masked_expression(zeros):
+    rng = np.random.default_rng(3)
+    mu = rng.normal(0.0, 2.0, 500)
+    sigma = rng.uniform(0.0, 1.5, 500) ** 3
+    if zeros:
+        sigma[::3] = 0.0
+    for best in (-1.0, 0.0, 0.7):
+        mu_in, sigma_in = mu.copy(), sigma.copy()
+        got = expected_improvement(mu_in, sigma_in, best)
+        assert repr(got.tolist()) == repr(_ei_as_expressions(mu, sigma, best).tolist())
+        # the inputs are read, never written
+        np.testing.assert_array_equal(mu_in, mu)
+        np.testing.assert_array_equal(sigma_in, sigma)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_latin_hypercube_is_the_column_stack_form(d):
+    rng = np.random.default_rng(10 + d)
+    bounds = np.array([(-3.0 - k, 2.0 + 0.5 * k) for k in range(d)])
+    for n in (1, 7, 1024):
+        twin = copy.deepcopy(rng)
+        strata = np.column_stack([twin.permutation(n) for _ in range(d)])
+        u = (strata + twin.uniform(0.0, 1.0, size=(n, d))) / n
+        want = bounds[:, 0] + u * (bounds[:, 1] - bounds[:, 0])
+        got = latin_hypercube(rng, bounds, n)
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+        assert rng.bit_generator.state == twin.bit_generator.state

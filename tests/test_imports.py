@@ -1,5 +1,5 @@
 """No cavforge module imports another module's private names, or a name it
-never uses."""
+never uses, and no memo grows without bound."""
 
 import ast
 import os
@@ -113,6 +113,82 @@ def test_the_guard_sees_an_unused_helper(tmp_path):
     b = tmp_path / "b.py"
     b.write_text("from . import a\nprint(a._Seen)\n")
     assert list(_unused_helpers([a, b])) == ["a.py:5: _helper"]
+
+
+# functools.cache is unbounded: only a function of a small finite domain may
+# use it. _stencil takes the search dimension.
+_UNBOUNDED_CACHE_ALLOWED = {("align.py", "_stencil")}
+
+
+def _unbounded_caches(path):
+    """Each ``functools.lru_cache`` without a positive integer ``maxsize``
+    (a literal, or a module constant bound to one), and each
+    ``functools.cache`` outside the allow-list."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    constants = {t.id for node in tree.body if isinstance(node, ast.Assign)
+                 and isinstance(node.value, ast.Constant)
+                 and type(node.value.value) is int and node.value.value > 0
+                 for t in node.targets if isinstance(t, ast.Name)}
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                for alias in node.names}
+
+    def is_(node, name):
+        if isinstance(node, ast.Attribute):
+            return (node.attr == name and isinstance(node.value, ast.Name)
+                    and node.value.id == "functools")
+        return isinstance(node, ast.Name) and node.id == name and name in imported
+
+    def bounded(call):
+        sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+        return len(sizes) == 1 and (
+            isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int
+            and sizes[0].value > 0
+            or isinstance(sizes[0], ast.Name) and sizes[0].id in constants)
+
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    allowed = {id(dec) for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and (path.name, node.name) in _UNBOUNDED_CACHE_ALLOWED
+               for dec in node.decorator_list}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and is_(node.func, "lru_cache"):
+            if not bounded(node):
+                yield f"{path.name}:{node.lineno}: lru_cache without an integer maxsize"
+        elif is_(node, "lru_cache") and id(node) not in called:
+            yield f"{path.name}:{node.lineno}: lru_cache without an integer maxsize"
+        elif is_(node, "cache") and id(node) not in allowed:
+            yield f"{path.name}:{node.lineno}: functools.cache"
+
+
+def test_every_memo_is_bounded():
+    sources = sorted(SRC.glob("*.py"))
+    assert len(sources) > 5
+    assert [hit for path in sources for hit in _unbounded_caches(path)] == []
+
+
+def test_the_guard_sees_an_unbounded_memo(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("import functools\n"
+                   "from functools import lru_cache\n"
+                   "_SIZE = 8\n"
+                   "_NONE = None\n"
+                   "@functools.lru_cache(maxsize=None)\n"
+                   "def a(x): return x\n"
+                   "@functools.lru_cache(maxsize=_SIZE)\n"
+                   "def b(x): return x\n"
+                   "@lru_cache\n"
+                   "def c(x): return x\n"
+                   "@functools.cache\n"
+                   "def _stencil(d): return d\n"
+                   "@functools.lru_cache(16)\n"
+                   "def e(x): return x\n"
+                   "f = functools.lru_cache(maxsize=_NONE)(len)\n")
+    assert list(_unbounded_caches(bad)) == [
+        "bad.py:5: lru_cache without an integer maxsize",
+        "bad.py:9: lru_cache without an integer maxsize",
+        "bad.py:11: functools.cache",
+        "bad.py:15: lru_cache without an integer maxsize"]
 
 
 def test_the_program_does_not_import_scipy_optimize():

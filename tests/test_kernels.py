@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermval
 
 from cavforge import _kernels
+from cavforge.pipeline import recover_drift
+from cavforge.simcore import randomize_knobs
 
 
 def test_hg_profile_order_zero_is_a_plain_gaussian():
@@ -190,3 +192,61 @@ def test_each_moment_order_is_the_full_moments_bit_for_bit(seed, height, width,
     assert repr(first) == repr(full[:3] + (None, None) + full[5:])
     zeroth = _kernels.frame_moments(window, floor, t0, l0, order=0)
     assert repr(zeroth) == repr(full[:1] + (None,) * 4 + full[5:])
+
+
+def _fresh_spot_factors(height, width, cx, cy, waist_px, amp, order):
+    # the factors as computed before the profiles were memoized
+    ux = (np.arange(width, dtype=np.float64) - cx) / waist_px
+    uy = (np.arange(height, dtype=np.float64) - cy) / waist_px
+    return amp * _kernels._exp(-2.0 * uy * uy), _kernels.hg_profile(ux, order)
+
+
+# centres on and off a 24 x 18 sensor: signed zeros, integral floats (whose
+# int twins hash alike) and arbitrary floats
+_CENTRES = st.one_of(st.sampled_from([-0.0, 0.0]),
+                     st.integers(-60, 80).map(float),
+                     st.floats(-60.0, 80.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CENTRES, _CENTRES, st.floats(0.05, 40.0), st.floats(0.0, 3.0),
+       st.integers(0, 4))
+def test_memoized_spot_factors_are_the_fresh_ones_bit_for_bit(cx, cy, waist, amp,
+                                                              order):
+    # each key is asked for twice, the second time a cache hit, and through
+    # the twin that shares its hash: -x for a zero, the int for an integral float
+    def twin(c):
+        return -c if c == 0.0 else int(c) if c.is_integer() else c
+
+    for args in [(cx, cy), (cx, cy), (twin(cx), twin(cy))]:
+        got = _kernels.spot_factors(18, 24, *args, waist, amp, order)
+        want = _fresh_spot_factors(18, 24, *args, waist, amp, order)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+
+def test_the_cached_column_factor_is_read_only():
+    row, col = _kernels.spot_factors(5, 7, 3.0, 2.0, 1.5, 0.8, 1)
+    assert row.flags.writeable  # amp times the profile, a fresh array
+    assert not col.flags.writeable
+    with pytest.raises(ValueError):
+        col[0] = 1.0
+    row_again, col_again = _kernels.spot_factors(5, 7, 3.0, 2.0, 1.5, 0.8, 1)
+    assert col_again is col and row_again is not row
+
+
+def test_the_profile_caches_pay_off_within_one_recovery(state):
+    # the README's example: knob creep on the seed-42 bench, one recovery;
+    # the gain does not rest on a benchmark repeating its inputs
+    state.ws = randomize_knobs(state.ws, ["ic", "oc"], 30.0, 60.0)
+    for cache in (_kernels._row_profile, _kernels._column_profile):
+        cache.cache_clear()
+    recover_drift(state, rng=np.random.default_rng(4))
+    infos = [cache.cache_info() for cache in (_kernels._row_profile,
+                                              _kernels._column_profile)]
+    hits = sum(info.hits for info in infos)
+    misses = sum(info.misses for info in infos)
+    assert hits + misses > 0
+    assert hits > misses
+    assert all(info.currsize <= info.maxsize for info in infos)

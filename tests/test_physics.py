@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from cavforge.physics import (CameraFrame, PhysicsConfig, beam_radius,
                               camera_view, cavity_response,
                               fluorescence_power, primary_hit, q_at_waist,
                               trace_beam)
-from cavforge.simcore import (Component, ComponentKind, Pose,
+from cavforge.simcore import (Component, ComponentKind, Pose, Workspace,
                               inject_displacement, set_knob_readings)
 from cavforge.vision import beam_stats, centroid, sensor_center_px
 
@@ -288,6 +289,35 @@ def test_laser_hits_carry_the_cavity_mode_order(monkeypatch, tilt_oc_deg, order)
     pump_orders = [h.mode_order for h in rendered if h.wavelength == "pump"]
     assert laser_orders and laser_orders == [order] * len(laser_orders)
     assert pump_orders and pump_orders == [0] * len(pump_orders)
+
+
+def test_a_frame_indexes_its_bench_once(monkeypatch, built):
+    # a copy of the seed-42 bench, so no kind index exists yet
+    ws = dataclasses.replace(built.ws)
+    names = ("_by_kind", "_aperture_table", "trace_beam", "cavity_response")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    index = functools.cached_property(
+        counted("_by_kind", Workspace.__dict__["_by_kind"].func))
+    index.__set_name__(Workspace, "_by_kind")
+    monkeypatch.setattr(Workspace, "_by_kind", index)
+    for name in names[1:]:
+        monkeypatch.setattr(physics, name, counted(name, getattr(physics, name)))
+    expected = camera_view(built.ws, "cam1")
+    calls.update(dict.fromkeys(names, 0))
+    frame = camera_view(ws, "cam1")
+    # one pass finds the pump and the cavity; the laser trace reuses the
+    # pump trace's aperture table; the traced entry points run once each
+    assert calls == dict.fromkeys(names, 1)
+    camera_view(ws, "cam2")
+    assert calls["_by_kind"] == 1 and calls["_aperture_table"] == 2
+    assert frame.intensities.tobytes() == expected.intensities.tobytes()
 
 
 def test_beam_missing_the_lens_kills_the_metric():

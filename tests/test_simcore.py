@@ -185,6 +185,42 @@ def test_beam_order_belongs_to_the_workspace_type(built, data):
         assert seen(w) == expected
 
 
+def test_a_knob_turn_keeps_beam_order_without_a_sort(built, monkeypatch):
+    ws = built.ws
+    for kind in ComponentKind:
+        ws.find_kind(kind)  # the kind index exists before the turn
+    sorts = []
+    post_init = Workspace.__post_init__
+
+    def counted(self):
+        sorts.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Workspace, "__post_init__", counted)
+    after = turn_knob(ws, "ic", "h", 7.5)
+    assert sorts == []  # a knob turn moves no pose: nothing to re-sort
+    order = [(c.pose.x, c.seq) for c in after.components]
+    assert order == sorted(order)
+    assert [c.id for c in after.components] == [c.id for c in ws.components]
+    for old, new in zip(ws.components, after.components):
+        if old.id == "ic":
+            assert new.knobs.h_deg == old.knobs.h_deg + 7.5
+            assert dataclasses.replace(new, knobs=old.knobs) == old
+        else:
+            assert new is old
+    # the same value a sorting construction gives, with its own kind index
+    fields = {f.name: getattr(after, f.name) for f in dataclasses.fields(Workspace)}
+    assert Workspace(**fields) == after and len(sorts) == 1
+    assert after.action_count == ws.action_count + 1
+    for kind in ComponentKind:
+        assert after.find_kind(kind) == [c for c in after.components if c.kind == kind]
+    assert after.find_kind(ComponentKind.MIRROR_IC)[0] is after.component("ic")
+    # a move still sorts
+    moved = move_component(after, "ic", Pose(after.component("ic").pose.x + 1.0, 0.0))
+    assert len(sorts) == 2
+    assert moved.find_kind(ComponentKind.MIRROR_IC) == [moved.component("ic")]
+
+
 def test_park_component_leaves_beam_line():
     ws = new_workspace(0, placement_noise_sigma=0.0)
     ws = place_component(ws, _ndf(), Pose(100.0, 0.0))
