@@ -7,6 +7,7 @@ A spot is computed once, as a row and a column factor (``spot_factors``);
 arithmetic, so a window's pixels equal the frame's bit for bit. The two
 profiles behind the factors are memoized in bounded caches: a knob turn
 mostly changes a spot's power and mode order, not its place or width.
+``frame_moments`` forms its temporaries in work arrays kept between calls.
 
 The arithmetic is pinned, not left to NumPy's defaults: ``exp`` is libm's,
 sums run left to right from 0.0, and each product is formed in a fixed
@@ -17,6 +18,7 @@ power by about 1e-7 relative.
 
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -31,6 +33,8 @@ _BAND_PIXELS = 8192
 # recovery asks for about 2 distinct row and 6 column profiles; a full cache
 # of 640-pixel profiles holds 1.3 MB.
 _PROFILE_CACHE_SIZE = 256
+# frame_moments' temporaries, one set per thread (see _work)
+_WORK = threading.local()
 
 
 def _exp(x):
@@ -41,10 +45,22 @@ def _exp(x):
     return out.reshape(x.shape)
 
 
+def _work(name, n, dtype):
+    # The first n elements of this thread's work array ``name``, grown but
+    # never shrunk. A frame-sized temporary freed on every call can go back
+    # to the OS and fault back in on the next; a kept one does not. No view
+    # of a work array leaves the function that asked for it.
+    buf = getattr(_WORK, name, None)
+    if buf is None or buf.size < n:
+        buf = np.empty(n, dtype)
+        setattr(_WORK, name, buf)
+    return buf[:n]
+
+
 def _seqsum(x):
     # np.add.accumulate adds left to right, where .sum() sums pairwise; the
     # leading 0.0 is the running sum's initial value.
-    return 0.0 + float(np.add.accumulate(x)[-1])
+    return 0.0 + float(np.add.accumulate(x, out=_work("sums", x.size, np.float64))[-1])
 
 
 def hg_profile(u, order):
@@ -152,30 +168,44 @@ def frame_moments(img, floor, top=0, left=0, order=2):
         computed is the same bits at every order.
     """
     img = np.asarray(img, dtype=np.float64)
-    idx = np.flatnonzero(img > floor)  # row-major, the order the sums run in
+    # Every temporary is formed in a work array (_work), with the operations
+    # and operand order of the plain expression in each comment.
+    above = np.greater(img, floor,  # img > floor
+                       out=_work("above", img.size, np.bool_).reshape(img.shape))
+    idx = np.flatnonzero(above)  # row-major, the order the sums run in
     count = int(idx.size)
     centroid = (0.0, 0.0) if order >= 1 else (None, None)
     spread = (0.0, 0.0) if order >= 2 else (None, None)
     if count == 0:
         vmax = float(img.max()) if img.size else 0.0
         return (0.0, *centroid, *spread, vmax, 0)
-    w = img.take(idx)
+    # img.take(idx); every index is in range, and mode="raise" would
+    # buffer the output
+    w = np.take(img, idx, out=_work("taken", count, np.float64), mode="clip")
     # the maximum is above the floor whenever anything is
     vmax = float(w.max())
     total = _seqsum(w)
     if order >= 1:
         width = img.shape[1]
-        rows = idx // width
-        cols = idx - rows * width
+        rows = np.floor_divide(idx, width, out=_work("rows", count, idx.dtype))
+        # cols = idx - rows * width
+        cols = np.multiply(rows, width, out=_work("cols", count, idx.dtype))
+        np.subtract(idx, cols, out=cols)
         # whole-frame indices before the products: adding the origin to the
         # centroid afterwards would round differently
         rows += top
         cols += left
-        cx = _seqsum(w * cols) / total
-        cy = _seqsum(w * rows) / total
+        product = _work("product", count, np.float64)
+        cx = _seqsum(np.multiply(w, cols, out=product)) / total
+        cy = _seqsum(np.multiply(w, rows, out=product)) / total
         centroid = (cx, cy)
     if order >= 2:
-        dx = cols - cx
-        dy = rows - cy
-        spread = (_seqsum(w * dx * dx) / total, _seqsum(w * dy * dy) / total)
+        offset = _work("offset", count, np.float64)
+        spread = []
+        # w * d * d, d = cols - cx, then rows - cy
+        for index, mean in ((cols, cx), (rows, cy)):
+            np.subtract(index, mean, out=offset)
+            np.multiply(w, offset, out=product)
+            product *= offset
+            spread.append(_seqsum(product) / total)
     return (total, *centroid, *spread, vmax, count)

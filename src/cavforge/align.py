@@ -16,9 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, get_lapack_funcs
-from scipy.spatial.distance import cdist
-from scipy.special import ndtr
 
 from .errors import BeamLostError, DegenerateResponseError, NoLasingError, WorkspaceError
 from .physics import camera_view
@@ -305,6 +302,18 @@ _STENCIL_ROUNDS = 8
 _STENCIL_PER_AXIS = 9
 _STENCIL_PER_AXIS_ABOVE_2D = 5
 
+# SciPy takes about 0.4 s to import and only the GP search uses it, so these
+# stay unbound until the search first needs them; _load_scipy binds them once.
+cho_factor = get_lapack_funcs = cdist = ndtr = None
+
+
+def _load_scipy():
+    global cho_factor, get_lapack_funcs, cdist, ndtr
+    if ndtr is None:
+        from scipy.linalg import cho_factor, get_lapack_funcs
+        from scipy.spatial.distance import cdist
+        from scipy.special import ndtr
+
 
 def latin_hypercube(rng: np.random.Generator, bounds, n: int) -> np.ndarray:
     """n stratified samples inside ``bounds``, one stratum per row per dim."""
@@ -315,7 +324,7 @@ def latin_hypercube(rng: np.random.Generator, bounds, n: int) -> np.ndarray:
     out = np.empty((n, d))
     for j in range(d):
         out[:, j] = rng.permutation(n)
-    out += rng.uniform(0.0, 1.0, size=(n, d))
+    out += rng.random((n, d))
     out /= n
     out *= b[:, 1] - b[:, 0]
     out += b[:, 0]
@@ -346,6 +355,7 @@ class GaussianProcess:
         return np.exp(k, out=k)
 
     def fit(self, X, y):
+        _load_scipy()
         X = np.atleast_2d(np.asarray(X, dtype=float))
         y = np.asarray(y, dtype=float)
         self._X = X
@@ -405,6 +415,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 def expected_improvement(mu, sigma, best):
     """EI of sampling a point under a minimization objective."""
+    _load_scipy()
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     improve = best - mu
@@ -427,6 +438,7 @@ def expected_improvement(mu, sigma, best):
 
 
 def _space_filling(rng, bounds, observed):
+    _load_scipy()
     candidates = latin_hypercube(rng, bounds, _SPACE_FILLING_CANDIDATES)
     gaps = cdist(candidates, observed).min(axis=1)
     return candidates[int(np.argmax(gaps))]

@@ -455,6 +455,40 @@ def _checkout_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
+_NEVER_SEARCHES = """
+import contextlib, io, json, sys
+import numpy as np
+import cavforge, cavforge.cli, cavforge.trials
+out = sys.argv[1]
+codes = []
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in (["render"], ["power-curve"],
+                 ["perturb", "displace", "--id", "lens", "--dy", "10"], ["recover"],
+                 ["trial-batch", "spatial", "-n", "1"],
+                 ["build", "--set", "components.lens.params.focal_length_mm=0"]):
+        codes.append(cavforge.cli.main([*argv, "--out", out]))
+gp_modules = ("scipy.linalg", "scipy.spatial", "scipy.special")
+before = [m for m in gp_modules if m in sys.modules]
+cavforge.align.GaussianProcess(1.0).fit(np.eye(2), np.arange(2.0))
+print(json.dumps({"codes": codes, "before": before,
+                  "after": [m for m in gp_modules if m in sys.modules]}))
+"""
+
+
+def test_commands_that_never_search_do_not_load_scipy(built_dir, tmp_path):
+    # SciPy loads on the GP's first fit; a command without a knob search
+    # never pays for its import.
+    shutil.copy(built_dir / "state.json", tmp_path / "state.json")
+    proc = subprocess.run([sys.executable, "-c", _NEVER_SEARCHES, str(tmp_path)],
+                          capture_output=True, text=True, env=_checkout_env())
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [0, 0, 0, 0, 0, 2]
+    assert json.loads((tmp_path / "recovery.json").read_text())["scenario"] == "displacement"
+    assert got["before"] == []
+    assert got["after"] == ["scipy.linalg", "scipy.spatial", "scipy.special"]
+
+
 def test_build_does_not_depend_on_the_blas_thread_count(tmp_path):
     # The determinism contract holds whether OpenBLAS runs one thread or
     # its default pool.

@@ -1,5 +1,5 @@
 """No cavforge module imports another module's private names, or a name it
-never uses, and no memo grows without bound."""
+never uses, no memo grows without bound, and SciPy loads only on demand."""
 
 import ast
 import os
@@ -202,3 +202,72 @@ def test_the_program_does_not_import_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "[]"
+
+
+# SciPy takes about 0.4 s to import and only the GP search uses it: the one
+# place that may load it is the GP's loader, run on the search's first use.
+_SCIPY_LOADER = ("align.py", "_load_scipy")
+
+
+def _is_scipy(name):
+    return name == "scipy" or name.startswith("scipy.")
+
+
+def _scipy_outside_the_loader(path):
+    """Each import of SciPy, ``scipy`` name or ``"scipy..."`` string outside
+    the loader: at module level, in another function, or by ``importlib``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    inside = {id(node) for top in tree.body
+              if isinstance(top, ast.FunctionDef) and (path.name, top.name) == _SCIPY_LOADER
+              for node in ast.walk(top)}
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] if node.level == 0 else []
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        else:
+            continue
+        for name in filter(_is_scipy, names):
+            yield f"{path.name}:{node.lineno}: {name}"
+
+
+def test_scipy_loads_only_in_the_gp_loader():
+    sources = sorted(SRC.glob("*.py"))
+    assert len(sources) > 5
+    assert [hit for path in sources for hit in _scipy_outside_the_loader(path)] == []
+    # the loader is where the GP's SciPy comes from
+    loader = next(node for node in ast.parse((SRC / _SCIPY_LOADER[0]).read_text()).body
+                  if isinstance(node, ast.FunctionDef) and node.name == _SCIPY_LOADER[1])
+    assert sorted(node.module for node in ast.walk(loader)
+                  if isinstance(node, ast.ImportFrom)) == [
+        "scipy.linalg", "scipy.spatial.distance", "scipy.special"]
+
+
+def test_the_guard_sees_scipy_outside_the_loader(tmp_path):
+    bad = tmp_path / "align.py"
+    bad.write_text("import importlib\n"
+                   "import scipy.linalg\n"
+                   "from scipy import special\n"
+                   "def _load_scipy():\n"
+                   "    from scipy.special import ndtr\n"
+                   "    import scipy\n"
+                   "def helper():\n"
+                   "    from scipy.spatial.distance import cdist\n"
+                   "    return scipy.linalg, importlib.import_module('scipy.stats')\n"
+                   "from .scipy_free import x\n")
+    assert sorted(_scipy_outside_the_loader(bad)) == [
+        "align.py:2: scipy.linalg", "align.py:3: scipy",
+        "align.py:8: scipy.spatial.distance", "align.py:9: scipy",
+        "align.py:9: scipy.stats"]
+    # the same function in another module is not the loader
+    assert sorted(_scipy_outside_the_loader(bad.rename(tmp_path / "vision.py"))) == [
+        "vision.py:2: scipy.linalg", "vision.py:3: scipy",
+        "vision.py:5: scipy.special", "vision.py:6: scipy",
+        "vision.py:8: scipy.spatial.distance", "vision.py:9: scipy",
+        "vision.py:9: scipy.stats"]

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermval
 
-from cavforge import _kernels
+from cavforge import _kernels, vision
+from cavforge.physics import CameraFrame
 from cavforge.pipeline import recover_drift
 from cavforge.simcore import randomize_knobs
 
@@ -192,6 +193,44 @@ def test_each_moment_order_is_the_full_moments_bit_for_bit(seed, height, width,
     assert repr(first) == repr(full[:3] + (None, None) + full[5:])
     zeroth = _kernels.frame_moments(window, floor, t0, l0, order=0)
     assert repr(zeroth) == repr(full[:1] + (None,) * 4 + full[5:])
+
+
+def _at_order(moments, order):
+    # the moments frame_moments computes at ``order``, None above it
+    total, cx, cy, var_x, var_y, vmax, count = moments
+    return (total, *((cx, cy) if order >= 1 else (None, None)),
+            *((var_x, var_y) if order >= 2 else (None, None)), vmax, count)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 48),
+                          st.integers(1, 64), st.integers(0, 5000), st.integers(0, 5000),
+                          st.integers(0, 2), st.sampled_from([0.0, 0.02, 0.3])),
+                min_size=1, max_size=4))
+def test_frame_moments_work_arrays_change_no_bit(frames):
+    # frames grow and then shrink back through the same sizes, so every work
+    # array is both grown and read past a smaller frame's end
+    kept = []
+    for seed, height, width, top, left, order, floor in frames + frames[::-1]:
+        rng = np.random.default_rng(seed)
+        # spots centred on or near the frame, faint to saturating
+        spots = [_kernels.spot_factors(height, width, rng.uniform(-0.2, 1.2) * width,
+                                       rng.uniform(-0.2, 1.2) * height,
+                                       rng.uniform(0.5, 20.0), 10.0 ** rng.uniform(-3.0, 0.5), k)
+                 for k in range(3)]
+        frame = CameraFrame.from_spots((height, width), spots, 0.01)
+        kept.append((frame, frame.intensities, frame.intensities.tobytes()))
+        img = frame.intensities
+        got = _kernels.frame_moments(img, floor, top, left, order=order)
+        assert repr(got) == repr(_at_order(_moments_of_every_order(img, floor, top, left),
+                                           order))
+        # plain numbers: nothing returned is a view of a work array
+        assert all(type(v) in (float, int, type(None)) for v in got)
+        # and a twin frame measured through its window, drawn on demand
+        vision.beam_stats(CameraFrame.from_spots((height, width), spots, 0.01), floor)
+    # a frame's kept pixels are never a work array, nor written by one
+    for frame, pixels, drawn in kept:
+        assert frame.intensities is pixels and pixels.tobytes() == drawn
 
 
 def _fresh_spot_factors(height, width, cx, cy, waist_px, amp, order):
