@@ -1,12 +1,18 @@
 """Closed-loop alignment routines.
 
-Two regimes, two tools. Transverse placement errors act through affine beam
-geometry, so a probe move plus one corrected move cancels them exactly; the
-loop repeats only because every grip lands with fresh actuation noise. Mirror
-pointing is different: the mount bias is invisible to the controller and the
-only signal is a camera spot, so those stages run a small Gaussian-process
-optimizer over knob readings with expected improvement as the acquisition
-rule. Both report their history through :class:`OptTrace`.
+Transverse placement errors act through affine beam geometry, so a probe
+move plus one corrected move cancels them exactly; the loop repeats only
+because every grip lands with fresh actuation noise. Pointing a cavity mirror
+back onto its reference spot is affine too while the reflection is on the
+sensor: a mirror's tilt is linear in its knob readings, and so is the retro
+spot's place, so a secant step (one probe per knob, then Broyden updates)
+walks it onto the anchor. The mount bias is invisible to the controller, so
+when the reflection starts off the sensor, the secant's Jacobian degenerates,
+a step leaves the knob range or the secant's budget runs out, a small
+Gaussian-process optimizer over the knob readings, with expected improvement
+as the acquisition rule, finishes the job. The emission searches use that
+optimizer from the start. All of them report their history through
+:class:`OptTrace`.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .simcore import (
     knob_readings,
     move_component,
     rotate_crystal,
+    set_knob_readings,
 )
 from .vision import (
     beam_stats,
@@ -98,7 +105,7 @@ class OptTrace:
 
 
 # ---------------------------------------------------------------------------
-# Newton placement correction
+# Newton corrections
 
 
 def newton_correction(reading, probe, response):
@@ -112,6 +119,20 @@ def newton_correction(reading, probe, response):
         raise DegenerateResponseError(
             f"probe of {probe} changed the signal by only {response}")
     return -probe * (reading + response) / response
+
+
+def newton_step(residual, jacobian):
+    """Move that zeroes an affine vector signal: the solution ``d`` of
+    ``jacobian @ d == -residual``.
+
+    The vector form of :func:`newton_correction`, with the Jacobian estimated
+    by the caller. Raises :class:`DegenerateResponseError` when the Jacobian
+    is not finite or its determinant is below the same response floor.
+    """
+    jacobian = np.asarray(jacobian, dtype=float)
+    if not np.isfinite(jacobian).all() or abs(np.linalg.det(jacobian)) < _MIN_RESPONSE:
+        raise DegenerateResponseError(f"response matrix {jacobian.tolist()} is singular")
+    return np.linalg.solve(jacobian, -np.asarray(residual, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -588,23 +609,29 @@ def bayesian_optimize(objective, bounds, rng: np.random.Generator, *,
 # Every second mirror-alignment proposal exploits the posterior mean (see
 # ``bayesian_optimize``): the retro-spot distance is funnel-shaped.
 _ALIGN_EXPLOIT_EVERY = 2
+# The retro-spot secant probes each knob by this many degrees, well clear of
+# the centroid's pixel noise, and spends at most this many evaluations.
+_SECANT_PROBE_DEG = 8.0
+_SECANT_MAX_EVALS = 12
 # The crystal sweep scans 0 degrees up to this angle in steps of this size.
 _SWEEP_MAX_DEG = 3.0
 _SWEEP_STEP_DEG = 0.2
 
 
 def _knob_search(ws: Workspace, mirror_ids: tuple, camera_id: str,
-                 rng: np.random.Generator, span_deg: float, cost, **options):
+                 rng: np.random.Generator, span_deg: float, cost, center=None,
+                 **options):
     """Minimize ``cost(frame)`` over both knobs of each mirror in
     ``mirror_ids`` with :func:`bayesian_optimize`, which takes ``options``.
 
-    The box spans ``span_deg`` either side of each starting reading, clipped
-    to ``KNOB_DEG``; each probe turns the knobs to its readings and scores
-    the frame ``camera_id`` then shows. The best readings are applied to the
+    The box spans ``span_deg`` either side of each reading in ``center``
+    (``{id: (h_deg, v_deg)}``, by default the current readings), clipped to
+    ``KNOB_DEG``; each probe turns the knobs to its readings and scores the
+    frame ``camera_id`` then shows. The best readings are applied to the
     returned workspace. The trace's ``last_view`` holds the last
     evaluation's workspace and frame.
     """
-    start = knob_readings(ws, mirror_ids)
+    start = center or knob_readings(ws, mirror_ids)
     bounds = [(max(r - span_deg, KNOB_DEG.lo), min(r + span_deg, KNOB_DEG.hi))
               for cid in mirror_ids for r in start[cid]]
     actions0 = ws.action_count
@@ -642,9 +669,18 @@ def align_resonator(ws: Workspace, mirror_id: str, camera_id: str, reference,
     the reference centroid, with an off-sensor penalty of two sensor
     diagonals, minimized over the two knob readings. The default success
     radius is the reference spot's rendered 1/e^2 radius in pixels.
+
+    A secant solve runs first (:func:`_retro_secant`). If it falls back, the
+    Gaussian-process search spends what is left of ``max_iters`` in a box
+    ``span_deg`` either side of the starting readings, and the rest of the
+    options are its own; ``meta["fallback"]`` names the reason, ``None``
+    when the secant did the job. One trace records every evaluation, and the
+    best readings are on the returned workspace's dials.
     """
     if ws.component(mirror_id).knobs is None:
         raise WorkspaceError(f"component {mirror_id!r} has no knobs to align")
+    if max_iters < 1:
+        raise WorkspaceError("max_iters must be at least 1")
     anchor = centroid(reference)
     if not anchor.detected:
         raise BeamLostError(f"reference frame for {mirror_id} shows no spot")
@@ -656,21 +692,108 @@ def align_resonator(ws: Workspace, mirror_id: str, camera_id: str, reference,
         stats = beam_stats(reference)
         radius = 2.0 * max(stats.sigma_px)
 
-    def cost(frame):
+    def measure(frame):
         spot = reflection_centroid(frame, reference_log)
         if not spot.detected:
-            return penalty
-        return math.hypot(spot.x_px - anchor.x_px, spot.y_px - anchor.y_px)
+            return None, penalty
+        away = np.array([spot.x_px - anchor.x_px, spot.y_px - anchor.y_px])
+        return away, math.hypot(*away)
 
-    ws, trace = _knob_search(
-        ws, (mirror_id,), camera_id, rng, span_deg, cost,
-        max_iters=max_iters, init_samples=init_samples,
-        length_scale=length_scale_deg, noise_scale=noise_scale,
-        success_cost=radius, no_signal_cost=penalty,
-        exploit_every=_ALIGN_EXPLOIT_EVERY)
-    trace.meta.update(mirror=mirror_id, camera=camera_id,
+    def cost(frame):
+        return measure(frame)[1]
+
+    actions0 = ws.action_count
+    start = knob_readings(ws, (mirror_id,))
+    trace = OptTrace(method="secant")
+    ws, fallback = _retro_secant(ws, mirror_id, camera_id, measure, radius, trace,
+                                 min(_SECANT_MAX_EVALS, max_iters))
+    trace.meta.update(mirror=mirror_id, camera=camera_id, fallback=fallback,
                       success_radius_px=radius, objective_units="px")
+    if fallback is not None:
+        if len(trace) < max_iters:
+            try:
+                ws, search = _knob_search(
+                    ws, (mirror_id,), camera_id, rng, span_deg, cost, center=start,
+                    max_iters=max_iters - len(trace), init_samples=init_samples,
+                    length_scale=length_scale_deg, noise_scale=noise_scale,
+                    success_cost=radius, no_signal_cost=penalty,
+                    exploit_every=_ALIGN_EXPLOIT_EVERY)
+            except BeamLostError as exc:
+                _extend(trace, exc.trace)
+                exc.trace = trace
+                raise
+            _extend(trace, search)
+            trace.last_view = search.last_view
+            trace.converged = search.converged
+        ws = _turn_to(ws, mirror_id, trace.best_params)
+    trace.wall_actions = ws.action_count - actions0
     return ws, trace
+
+
+def _retro_secant(ws: Workspace, mirror_id: str, camera_id: str, measure,
+                  radius: float, trace: OptTrace, budget: int):
+    """Walk the retro spot onto the anchor by secant steps.
+
+    ``measure(frame)`` gives the reflected spot's pixel offset from the
+    anchor, ``None`` when the reflection is not detected, and the cost. While
+    the spot is detected its offset is affine in the two knob readings, so
+    the Jacobian starts as the forward difference of one probe of each knob
+    from the first reading and then follows Broyden's rank-one update
+    (Broyden 1965) along each step :func:`newton_step` takes; from a zero
+    matrix, that update along a probe writes the probe's column. Each
+    evaluation is recorded in ``trace`` at the readings the dials show after
+    the turn, and sets its ``last_view``. Returns the workspace and ``None``
+    once the spot is within ``radius`` (the last evaluation then being the
+    best), or else the reason to fall back, after at most ``budget``
+    evaluations.
+    """
+    jacobian = np.zeros((2, 2))
+    probes = _SECANT_PROBE_DEG * np.eye(2)
+    readings = np.array(knob_readings(ws, (mirror_id,))[mirror_id])
+    away = None
+    for n in range(budget):
+        if n > 0:
+            try:
+                step = probes[n - 1] if n <= 2 else newton_step(away, jacobian)
+            except DegenerateResponseError:
+                return ws, "singular Jacobian"
+            target = readings + step
+            if any(KNOB_DEG.violation(r) is not None for r in target):
+                return ws, "step leaves the knob range"
+            ws = set_knob_readings(ws, mirror_id, *target)
+        # the dials read what the turn landed on, which can round
+        landed = np.array(knob_readings(ws, (mirror_id,))[mirror_id])
+        frame = camera_view(ws, camera_id)
+        trace.last_view = (ws, frame)
+        seen, cost = measure(frame)
+        trace.record(landed, cost)
+        if seen is None:
+            return ws, "reflection not detected"
+        if cost <= radius:
+            trace.converged = True
+            return ws, None
+        if n > 0:
+            moved = landed - readings
+            jacobian += np.outer(seen - away - jacobian @ moved, moved) / (moved @ moved)
+        if n != 1:
+            # both probes start from the first reading
+            readings, away = landed, seen
+    return ws, "secant budget spent"
+
+
+def _extend(trace: OptTrace, more: OptTrace) -> None:
+    for it in more.iterations:
+        trace.record(it.params, it.objective)
+    trace.meta.update(more.meta)
+
+
+def _turn_to(ws: Workspace, mirror_id: str, readings) -> Workspace:
+    """Turn a mirror's dials to read exactly ``readings``. A turn from far
+    away can round; the difference left is then exact, so a second turn lands."""
+    for _ in range(2):
+        if knob_readings(ws, (mirror_id,))[mirror_id] != tuple(readings):
+            ws = set_knob_readings(ws, mirror_id, *readings)
+    return ws
 
 
 def crystal_sweep(ws: Workspace, crystal_id: str, camera_id: str):

@@ -6,11 +6,14 @@ disturbance scenarios into a saved state, ``recover`` dispatches the
 matching recovery routine, ``trial-batch`` runs the seeded statistics
 batteries, and ``power-curve`` / ``render`` export measurements from a
 saved state. All artifacts land inside the ``--out`` directory; identical
-invocations write byte-identical files.
+invocations write byte-identical files. ``diff-trace`` reads two runs'
+``trace.jsonl`` files and reports where they first differ; it writes
+nothing.
 
 Exit codes: 0 success, 1 domain failure (failed step, exhausted recovery,
-unknown component), 2 usage or parse error (bad flags, malformed JSON,
-invalid layout or saved state).
+unknown component; for ``diff-trace``, traces that differ), 2 usage or
+parse error (bad flags, malformed JSON, invalid layout or saved state, an
+unreadable trace).
 """
 
 from __future__ import annotations
@@ -210,6 +213,72 @@ def cmd_render(args) -> int:
     return 0
 
 
+def _read_trace(path) -> list:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise LayoutError(f"cannot read trace {path}: {exc}") from exc
+    events = []
+    for number, line in enumerate(lines, 1):
+        try:
+            event = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise LayoutError(f"{path} line {number} is not valid JSON: {exc}") from exc
+        if not isinstance(event, dict):
+            raise LayoutError(f"{path} line {number} is not a JSON object")
+        events.append(event)
+    return events
+
+
+_ABSENT = object()
+
+
+def _first_difference(a, b, key=""):
+    """``(key, a_value, b_value)`` at the first leaf where two JSON values
+    differ, keys in sorted order and lists by index, or ``None``."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for name in sorted(a.keys() | b.keys()):
+            found = _first_difference(a.get(name, _ABSENT), b.get(name, _ABSENT),
+                                      f"{key}.{name}" if key else name)
+            if found:
+                return found
+        return None
+    if isinstance(a, list) and isinstance(b, list):
+        for i in range(max(len(a), len(b))):
+            found = _first_difference(a[i] if i < len(a) else _ABSENT,
+                                      b[i] if i < len(b) else _ABSENT, f"{key}[{i}]")
+            if found:
+                return found
+        return None
+    # repr tells 1 from 1.0 and matches NaN with NaN
+    return None if repr(a) == repr(b) else (key, a, b)
+
+
+def _shown(value) -> str:
+    return "(absent)" if value is _ABSENT else json.dumps(value, sort_keys=True)
+
+
+def cmd_diff_trace(args) -> int:
+    a, b = _read_trace(args.trace_a), _read_trace(args.trace_b)
+    for index in range(max(len(a), len(b))):
+        ea = a[index] if index < len(a) else _ABSENT
+        eb = b[index] if index < len(b) else _ABSENT
+        found = _first_difference(ea, eb)
+        if found is None:
+            continue
+        key, va, vb = found
+        event = eb if ea is _ABSENT else ea
+        print(f"event {index} differs: step {_shown(event.get('step', _ABSENT))}, "
+              f"action {_shown(event.get('action', _ABSENT))}")
+        print(f"key: {key or '(whole event)'}")
+        print(f"A: {_shown(va)}")
+        print(f"B: {_shown(vb)}")
+        return 1
+    print(f"identical: {len(a)} events")
+    return 0
+
+
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--layout", default=None, metavar="PATH",
@@ -264,13 +333,19 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", dest="raw_csv", action="store_true",
                    help="also dump raw intensities as CSV")
     p.set_defaults(func=cmd_render)
+
+    p = sub.add_parser("diff-trace",
+                       help="report the first event where two trace.jsonl files differ")
+    p.add_argument("trace_a", metavar="A")
+    p.add_argument("trace_b", metavar="B")
+    p.set_defaults(func=cmd_diff_trace)
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             check_seed(args.seed)
         return args.func(args)
     except LayoutError as exc:

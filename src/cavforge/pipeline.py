@@ -666,7 +666,8 @@ def recover_displacement(state: PipelineState) -> RecoveryReport:
     missing, the re-grip loop repeats the same placement (fresh actuation
     noise every grip) up to ``_DISPLACEMENT_MAX_ATTEMPTS`` times.
     ``attempts`` counts only those extra rounds, so a clean first pass
-    reports zero attempts and one placement pass.
+    reports zero attempts and one placement pass. The report carries the
+    last ratio measured, on failure too.
     """
     _require_complete(state)
     if state.ws.snapshot is None:
@@ -694,7 +695,7 @@ def recover_displacement(state: PipelineState) -> RecoveryReport:
         attempts=attempts,
         iterations=0,
         actions=state.ws.action_count - actions0,
-        ratio=ratio if success else 0.0,
+        ratio=ratio,
         details={"displaced": displaced, "placements": attempts + 1},
     )
 

@@ -497,10 +497,14 @@ def turn_knob(ws: Workspace, component_id: str, axis: str, delta_deg: float) -> 
 
 
 def set_knob_readings(ws: Workspace, component_id: str, h_deg: float, v_deg: float) -> Workspace:
-    """Turn both knobs to absolute readings (two knob actions)."""
+    """Turn the knobs to absolute readings, one knob action per axis whose
+    reading changes; a mirror already there returns ``ws`` itself."""
     _, knobs = _knobs(ws, component_id)
-    ws = turn_knob(ws, component_id, "h", h_deg - knobs.h_deg)
-    return turn_knob(ws, component_id, "v", v_deg - knobs.v_deg)
+    if h_deg != knobs.h_deg:
+        ws = turn_knob(ws, component_id, "h", h_deg - knobs.h_deg)
+    if v_deg != knobs.v_deg:
+        ws = turn_knob(ws, component_id, "v", v_deg - knobs.v_deg)
+    return ws
 
 
 def knob_readings(ws: Workspace, component_ids) -> dict:

@@ -9,13 +9,15 @@ from _benches import bench, camera, make_cavity, mirror, pump
 from cavforge import align
 from cavforge.align import (align_resonator, crystal_sweep,
                             fit_beam_path, measure_beam_path,
-                            newton_correction, newton_solve,
+                            newton_correction, newton_solve, newton_step,
                             optimize_mode, spatial_optimize)
 from cavforge.errors import (BeamLostError, DegenerateResponseError,
                              NoLasingError, WorkspaceError)
+from cavforge.layout import build_workspace
 from cavforge.physics import CameraFrame, camera_view
 from cavforge.simcore import (KNOB_DEG, Component, ComponentKind, Pose,
-                              apply_knob_readings, knob_readings)
+                              apply_knob_readings, knob_readings,
+                              place_component, set_knob_bias, set_knob_readings)
 
 
 def test_newton_correction_frozen_value():
@@ -27,6 +29,18 @@ def test_newton_correction_frozen_value():
 def test_newton_correction_rejects_flat_response():
     with pytest.raises(DegenerateResponseError):
         newton_correction(2.0, 0.5, 1e-12)
+
+
+def test_newton_step_zeroes_an_affine_vector_signal():
+    # J d = -r for r = (2, -1), J = [[2, 1], [0, 4]]: d = (-9/8, 1/4)
+    assert newton_step([2.0, -1.0], [[2.0, 1.0], [0.0, 4.0]]).tolist() == [-1.125, 0.25]
+
+
+@pytest.mark.parametrize("jacobian", [[[1.0, 2.0], [0.5, 1.0]],
+                                      [[1.0, 0.0], [0.0, math.nan]]])
+def test_newton_step_rejects_a_singular_or_non_finite_response(jacobian):
+    with pytest.raises(DegenerateResponseError):
+        newton_step([1.0, 1.0], jacobian)
 
 
 @given(st.floats(0.1, 10.0), st.booleans(), st.floats(-5.0, 5.0),
@@ -191,6 +205,119 @@ def test_a_knob_search_keeps_its_last_view_best_readings_and_actions(monkeypatch
     readings = knob_readings(out, mirrors)
     assert sum((readings[cid] for cid in mirrors), ()) == trace.best_params
     assert trace.wall_actions == out.action_count - ws.action_count
+
+
+def _arm_stage(layout, bias_h_deg, bias_v_deg):
+    """The arm stage ``trials.angular_trials`` sets up: the reference on
+    cam2, then the output mirror at its station with the given seat bias."""
+    ws = build_workspace(layout, 5)
+    for cid in ("ndf", "cam2", "bs"):
+        ws = place_component(ws, layout.template(cid), layout.record(cid).nominal_pose())
+    reference = camera_view(ws, "cam2")
+    ws = place_component(ws, layout.template("oc"), layout.record("oc").nominal_pose())
+    return set_knob_bias(ws, "oc", bias_h_deg, bias_v_deg), reference
+
+
+def _holds_the_knob_search_contract(ws, out, trace, max_iters):
+    assert len(trace) <= max_iters
+    assert [it.index for it in trace.iterations] == list(range(len(trace)))
+    assert knob_readings(out, ("oc",))["oc"] == trace.best_params
+    assert trace.wall_actions == out.action_count - ws.action_count
+
+
+def test_align_resonator_needs_no_gp_while_the_spot_is_on_the_sensor():
+    ws, reference = _retro_bench(0.1)
+    out, trace = align_resonator(ws, "oc", "cam2", reference,
+                                 np.random.default_rng(3))
+    assert trace.converged and trace.meta["fallback"] is None
+    # the start and one probe of each knob give the Jacobian; an affine
+    # spot is then one step from the anchor
+    assert len(trace) == 4
+    _holds_the_knob_search_contract(ws, out, trace, 30)
+
+
+def test_the_secant_records_the_readings_the_dials_landed_on(monkeypatch):
+    # every turn lands a hair past its target, as a rounded one can
+    def overshooting(ws, mirror_id, h_deg, v_deg):
+        return set_knob_readings(ws, mirror_id, h_deg + 1e-9, v_deg + 1e-9)
+
+    measured = []
+
+    def recorded(ws, camera_id):
+        measured.append(knob_readings(ws, ("oc",))["oc"])
+        return camera_view(ws, camera_id)
+
+    monkeypatch.setattr(align, "set_knob_readings", overshooting)
+    monkeypatch.setattr(align, "camera_view", recorded)
+    ws, reference = _retro_bench(0.1)
+    out, trace = align_resonator(ws, "oc", "cam2", reference,
+                                 np.random.default_rng(3))
+    assert trace.meta["fallback"] is None
+    assert [it.params for it in trace.iterations] == measured
+    _holds_the_knob_search_contract(ws, out, trace, 30)
+
+
+def test_a_reflection_that_starts_off_the_sensor_falls_back_to_the_gp(layout):
+    # past the +-115 knob-degrees the angular battery keeps on the sensor
+    ws, reference = _arm_stage(layout, 0.0, 210.0)
+    out, trace = align_resonator(ws, "oc", "cam2", reference,
+                                 np.random.default_rng(0), span_deg=300.0,
+                                 max_iters=30, init_samples=6,
+                                 length_scale_deg=60.0, noise_scale=0.02)
+    assert trace.meta["fallback"] == "reflection not detected"
+    # the off-sensor penalty: two diagonals of the 640 x 480 sensor
+    assert trace.iterations[0].objective == 1600.0
+    assert trace.converged
+    assert trace.best_objective <= trace.meta["success_radius_px"]
+    _holds_the_knob_search_contract(ws, out, trace, 30)
+
+
+@pytest.mark.parametrize("max_iters", [30, 4])
+def test_a_blocked_reflection_raises_with_every_evaluation(max_iters):
+    bb = Component(id="bb", kind=ComponentKind.BEAM_BLOCK, pose=Pose(0, 0))
+    ws, reference = _retro_bench(0.1)
+    ws = place_component(ws, bb, Pose(135.0, 0.0))  # between the splitter and the mirror
+    with pytest.raises(BeamLostError) as err:
+        align_resonator(ws, "oc", "cam2", reference, np.random.default_rng(0),
+                        max_iters=max_iters)
+    trace = err.value.trace
+    assert trace.meta["fallback"] == "reflection not detected"
+    # the secant's first reading, then the GP's batch and its widened batch,
+    # each of at most init_samples and never past max_iters
+    assert len(trace) == min(1 + 2 * 5, max_iters)
+    assert {it.objective for it in trace.iterations} == {trace.iterations[0].objective}
+
+
+def test_a_budget_the_secant_spends_leaves_the_best_reading_on_the_dials():
+    ws, reference = _retro_bench(0.1)
+    out, trace = align_resonator(ws, "oc", "cam2", reference,
+                                 np.random.default_rng(3), max_iters=2)
+    assert trace.meta["fallback"] == "secant budget spent"
+    assert not trace.converged
+    # the probe pushed the spot farther out, so the dials go back to the start
+    assert trace.best_params == trace.iterations[0].params
+    _holds_the_knob_search_contract(ws, out, trace, 2)
+
+
+def test_a_singular_jacobian_hands_the_remaining_budget_to_the_gp(monkeypatch):
+    # the spot reads the same at the start and after the first probe, so
+    # that knob's column of the Jacobian is zero
+    ws, reference = _retro_bench(0.1)
+    reads = []
+
+    def stuck(frame, reference_log):
+        reads.append(reflection_centroid(frame, reference_log))
+        return reads[0] if len(reads) == 2 else reads[-1]
+
+    reflection_centroid = align.reflection_centroid
+    monkeypatch.setattr(align, "reflection_centroid", stuck)
+    out, trace = align_resonator(ws, "oc", "cam2", reference,
+                                 np.random.default_rng(3), max_iters=30)
+    assert trace.meta["fallback"] == "singular Jacobian"
+    assert trace.iterations[0].objective == trace.iterations[1].objective
+    assert trace.converged
+    assert len(reads) == len(trace) > 3  # the GP evaluated on after the probes
+    _holds_the_knob_search_contract(ws, out, trace, 30)
 
 
 def test_a_knob_search_box_stops_at_the_knob_bound():

@@ -296,6 +296,65 @@ def test_render_exports_frames_and_raw_csv(built_dir):
         assert (built_dir / name).exists()
 
 
+def _trace_copy(built_dir, path, edit=None):
+    events = [json.loads(line) for line in
+              (built_dir / "trace.jsonl").read_text().splitlines()]
+    if edit is not None:
+        edit(events)
+    path.write_text("".join(json.dumps(e, sort_keys=True) + "\n" for e in events))
+    return str(path)
+
+
+def test_diff_trace_of_an_identical_pair_exits_0(built_dir, tmp_path):
+    trace = str(built_dir / "trace.jsonl")
+    copy = _trace_copy(built_dir, tmp_path / "copy.jsonl")
+    code, out = _run(["diff-trace", trace, copy])
+    assert code == 0
+    n = len((built_dir / "trace.jsonl").read_text().splitlines())
+    assert out == f"identical: {n} events\n"
+
+
+def test_diff_trace_names_the_first_event_and_key_that_differ(built_dir, tmp_path):
+    trace = str(built_dir / "trace.jsonl")
+    events = [json.loads(line) for line in
+              (built_dir / "trace.jsonl").read_text().splitlines()]
+    i = next(k for k, e in enumerate(events) if e["action"] == "angular optimize oc")
+
+    def edit(events):
+        events[i]["measurement"]["best_params"][1] += 1.0
+        events[i + 1]["action_index"] += 1  # a later difference goes unreported
+
+    other = _trace_copy(built_dir, tmp_path / "other.jsonl", edit)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code, out = _run(["diff-trace", trace, other])
+    assert code == 1
+    a = events[i]["measurement"]["best_params"][1]
+    assert out.splitlines() == [
+        f'event {i} differs: step {events[i]["step"]}, action "angular optimize oc"',
+        "key: measurement.best_params[1]",
+        f"A: {json.dumps(a)}",
+        f"B: {json.dumps(a + 1.0)}"]
+    # one trace ending early: the first event the other has alone
+    short = _trace_copy(built_dir, tmp_path / "short.jsonl", lambda e: e.pop())
+    code, out = _run(["diff-trace", short, trace])
+    assert code == 1
+    assert out.splitlines()[1:3] == ["key: (whole event)", "A: (absent)"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == before + ["short.jsonl"]
+
+
+@pytest.mark.parametrize("content", [None, "{nope\n", "[1, 2]\n", b"\xff\n"])
+def test_diff_trace_of_a_missing_or_unreadable_file_exits_2(built_dir, tmp_path,
+                                                            capsys, content):
+    bad = tmp_path / "bad.jsonl"
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    elif content is not None:
+        bad.write_text(content)
+    code, out = _run(["diff-trace", str(built_dir / "trace.jsonl"), str(bad)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_state_with_a_wrong_schema_version_exits_2(built_dir, tmp_path, capsys):
     state = json.loads((built_dir / "state.json").read_text())
     state["schema_version"] = 99

@@ -255,6 +255,17 @@ def test_set_knob_readings_absolute():
     assert ws.action_count == n + 2
 
 
+def test_set_knob_readings_turns_only_the_knobs_that_change():
+    ws = place_component(new_workspace(0), _mirror(), Pose(100.0, 0.0))
+    ws = set_knob_readings(ws, "m", 10.0, 10.0)
+    # a mirror already there leaves the workspace as it was: no action
+    assert set_knob_readings(ws, "m", 10.0, 10.0) is ws
+    one = set_knob_readings(ws, "m", 10.0, -2.0)
+    knobs = one.component("m").knobs
+    assert (knobs.h_deg, knobs.v_deg) == (10.0, -2.0)
+    assert one.action_count == ws.action_count + 1
+
+
 def test_knob_readings_round_trip_through_apply():
     ws = place_component(new_workspace(0), _mirror("a"), Pose(100.0, 0.0))
     ws = place_component(ws, _mirror("b"), Pose(200.0, 0.0))
