@@ -317,11 +317,12 @@ _LHS_CANDIDATES = 4096
 # lies farthest from every observed point.
 _SPACE_FILLING_CANDIDATES = 1024
 # The best candidate is refined by this many rounds of a pattern search over
-# a stencil of this many points per axis (fewer above two dimensions, where
-# the stencil grows as the power of the dimension).
+# a grid stencil of at most this many points: as many points per axis as the
+# budget allows, 9 x 9 in two dimensions and 3^4 in four. A pattern search
+# needs a stencil that spans the coordinate directions, not a dense one
+# (Torczon, SIAM J. Optim. 1997).
 _STENCIL_ROUNDS = 8
-_STENCIL_PER_AXIS = 9
-_STENCIL_PER_AXIS_ABOVE_2D = 5
+_STENCIL_ROWS = 81
 
 # SciPy takes about 0.4 s to import and only the GP search uses it, so these
 # stay unbound until the search first needs them; _load_scipy binds them once.
@@ -467,8 +468,11 @@ def _space_filling(rng, bounds, observed):
 
 @functools.cache
 def _stencil(d: int) -> np.ndarray:
-    """The pattern search's k^d offsets on [-1, 1]^d, shared read-only."""
-    k = _STENCIL_PER_AXIS if d <= 2 else _STENCIL_PER_AXIS_ABOVE_2D
+    """The pattern search's k^d offsets on [-1, 1]^d, shared read-only: the
+    largest k with k^d <= ``_STENCIL_ROWS``."""
+    k = 1
+    while (k + 1) ** d <= _STENCIL_ROWS:
+        k += 1
     unit = np.stack(np.meshgrid(*[np.linspace(-1.0, 1.0, k)] * d, indexing="ij"),
                     axis=-1).reshape(-1, d)
     unit.setflags(write=False)

@@ -461,14 +461,6 @@ def _record_hit(result: TraceResult, camera_id, ray: _Ray, u, v, w, power, mode_
 # Derived views
 
 
-def primary_hit(trace: TraceResult, camera_id: str):
-    """The direct pump hit (no reflections) at a camera, if any."""
-    for h in trace.camera_hits(camera_id):
-        if h.wavelength == "pump" and h.n_bounces == 0:
-            return h
-    return None
-
-
 def render_frame(hits, camera: Component) -> CameraFrame:
     """Rasterize camera hits into a normalized frame.
 

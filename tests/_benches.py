@@ -1,8 +1,15 @@
-"""Hand-assembled workspaces with exact poses for oracle tests."""
+"""Hand-assembled workspaces with exact poses for oracle tests, the views of
+a trace that only tests read, and the benchmark's drift trial."""
 
+import dataclasses
+
+import numpy as np
+
+from cavforge import pipeline
 from cavforge.physics import PhysicsConfig
 from cavforge.simcore import (Component, ComponentKind, KnobPair, Pose,
-                              new_workspace, place_component)
+                              new_workspace, place_component, randomize_knobs,
+                              reseed)
 
 
 def bench(items, seed=0, sigma=0.0, physics=None):
@@ -70,3 +77,32 @@ def make_cavity(tilt_ic_deg=0.0, tilt_oc_deg=0.0, lens_dy=0.0,
         (bpf, Pose(400.0, 0.0)),
         camera("cam1", 440.0, gain_pump=35.0, gain_laser=2.0),
     ])
+
+
+def primary_hit(trace, camera_id):
+    """The direct pump hit (no reflections) at a camera, if any."""
+    for h in trace.camera_hits(camera_id):
+        if h.wavelength == "pump" and h.n_bounces == 0:
+            return h
+    return None
+
+
+def drift_trial(built, tag, trial_index, stream=()):
+    """One drift trial as ``perfbench/workloads.py`` runs it, on a copy of
+    the completed build ``built``.
+
+    The copy is reseeded from ``SeedSequence([tag, trial_index])``, both
+    cavity mirrors creep by ``randomize_knobs(30, 60)``, and a tick, the
+    drift recovery on ``SeedSequence([tag, trial_index, 2, *stream])`` and a
+    second tick follow. Returns the trial's state, both ticks and the report.
+    """
+    roles = pipeline.resolve_roles(built.layout)
+    seed = int(np.random.SeedSequence([tag, trial_index]).generate_state(1)[0])
+    trial = dataclasses.replace(built, ws=reseed(built.ws, seed),
+                                log=list(built.log))
+    trial.ws = randomize_knobs(trial.ws, [roles.ic, roles.oc], 30.0, 60.0)
+    before = pipeline.surveillance_tick(trial)
+    report = pipeline.recover_drift(trial, rng=np.random.default_rng(
+        np.random.SeedSequence([tag, trial_index, 2, *stream])))
+    after = pipeline.surveillance_tick(trial)
+    return trial, before, after, report

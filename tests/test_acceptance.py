@@ -11,10 +11,10 @@ import time
 
 import numpy as np
 
-from _benches import bench, camera, lens, make_cavity, pump
+from _benches import bench, camera, lens, make_cavity, primary_hit, pump
 from cavforge import cli, trials
 from cavforge.align import bayesian_optimize, newton_solve
-from cavforge.physics import primary_hit, trace_beam
+from cavforge.physics import trace_beam
 from cavforge.pipeline import measure_power_curve
 from cavforge.simcore import inject_displacement
 from cavforge.vision import beam_stats, log_transform

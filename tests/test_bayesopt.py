@@ -8,8 +8,8 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
 from cavforge.align import (_LHS_CANDIDATES, _MESH_PER_AXIS, GaussianProcess,
-                            _propose, bayesian_optimize, expected_improvement,
-                            latin_hypercube)
+                            _propose, _stencil, bayesian_optimize,
+                            expected_improvement, latin_hypercube)
 from cavforge.errors import BeamLostError, WorkspaceError
 
 BOWL_ARGS = dict(max_iters=25, init_samples=6, length_scale=1.2,
@@ -162,9 +162,24 @@ def test_proposals_draw_nothing_up_to_two_dimensions(d):
     assert rng.bit_generator.state != state
 
 
+# (2, 9) pins the 9 x 9 grid that steps 6 and 9, and the retro secant's GP
+# fallback, search on
+@pytest.mark.parametrize("d, k", [(1, 81), (2, 9), (3, 4), (4, 3)])
+def test_stencil_is_the_largest_grid_within_81_rows(d, k):
+    assert k ** d <= 81 < (k + 1) ** d
+    unit = _stencil(d)
+    axis = np.linspace(-1.0, 1.0, k)
+    grid = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1)
+    assert np.array_equal(unit, grid.reshape(-1, d))
+    assert not unit.flags.writeable
+    with pytest.raises(ValueError):
+        unit[0, 0] = 0.5
+    assert _stencil(d) is unit
+
+
 @pytest.mark.parametrize("d, candidates, stencil", [
     (2, 64 ** 2, 9 ** 2),   # the mesh, then 9 x 9 stencils
-    (4, 4096, 5 ** 4),      # Latin-hypercube candidates, then 5^4 stencils
+    (4, 4096, 3 ** 4),      # Latin-hypercube candidates, then 3^4 stencils
 ], ids=["2d", "4d"])
 def test_every_proposal_scores_its_full_candidate_and_stencil_rows(
         monkeypatch, d, candidates, stencil):
@@ -365,39 +380,39 @@ _BUMP_HISTORY = (
     ((1.619867770578736, 2.997326906654753,
       0.34478698491988835, 2.01827993723907),
      -0.019791408311874634),
-    ((0.7249030473088762, -1.2899953251975929,
-      -1.287947725739516, 2.506544443598292),
-     -0.4852637687809785),
-    ((0.6381737407820891, -0.9931884080496474,
-      -0.5976898434511799, 2.6651360940006894),
-     -0.7013994961097677),
-    ((0.565207890196068, -0.7856377549225426,
-      -0.050234376764905164, 2.8684982562768386),
-     -0.7561714066753606),
-    ((-0.20093220512530685, -0.8781862262781424,
-      -0.11655019855405113, 2.6581054114139615),
-     -0.6850130718052092),
-    ((0.7298965173829526, -1.5400719213696834,
-      0.2874164671963886, 2.6503213211046575),
-     -0.8426878124784859),
-    ((0.9439883210672786, -1.1778648400077012,
-      0.3658232662298868, 2.01487720961135),
-     -0.9823884711901072),
-    ((1.8411092285981745, -1.04085262746523,
-      0.37397074351559745, 1.946352384311739),
-     -0.7476893296326571),
-    ((0.5743443954479881, -1.3558374254105179,
-      0.30373775568119044, 1.4681119711576232),
-     -0.9402932230339393),
-    ((0.6362998613286317, -1.1026927083730764,
-      0.8793244748742834, 1.9165036233600787),
-     -0.9493100323149165),
-    ((-3.0, 3.0,
-      -3.0, 3.0),
-     -6.668333038416855e-05),
-    ((0.7125447344247893, -0.7673551505704741,
-      0.24480934527849385, 1.7236985056048475),
-     -0.9637882875535514),
+    ((0.6780280473088762, -1.2899953251975929,
+      -1.287947725739516, 2.4375),
+     -0.4938720335757655),
+    ((0.5444237407820891, -0.9931884080496474,
+      -0.5508148434511799, 2.5245110940006894),
+     -0.7441717080629745),
+    ((0.44636773738413016, -0.7697329121800633,
+      0.045039223322585364, 2.625),
+     -0.8324854647060826),
+    ((-0.20093220512530685, -0.9719362262781424,
+      0.07094980144594887, 3.0),
+     -0.6206627761497541),
+    ((1.2096317676655968, -0.684695090162383,
+      0.23942598646831348, 2.6259804212152638),
+     -0.8034048586560925),
+    ((0.6009317168370445, -0.5205497935926777,
+      0.0999146253582297, 1.9715407908784908),
+     -0.9067000032677094),
+    ((0.5798760165860553, 0.09255344615663352,
+      -0.3059041057091325, 2.3509598648528236),
+     -0.6217774244563932),
+    ((0.6212193954479881, -1.1683374254105179,
+      0.39748775568119044, 1.8899869711576232),
+     -0.9975623183203174),
+    ((0.13022461586538991, -1.2992271319646247,
+      0.1280677700786459, 1.4124269040115767),
+     -0.8605147978415236),
+    ((0.8286762180291483, -1.7140642049726291,
+      1.9684447457932155, 2.7787182509215844),
+     -0.4467604699787432),
+    ((1.0744026536013616, -1.3384332101045822,
+      0.0894043451749944, 1.5610638130867214),
+     -0.9132459649823038),
     ((3.0, -3.0,
       -3.0, -3.0),
      -5.1074652437767155e-05),

@@ -17,7 +17,6 @@ and record the old and new values in CHANGES.md.
 """
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -29,16 +28,15 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from cavforge import cli, pipeline, simcore
+from _benches import drift_trial
+from cavforge import cli, pipeline
 from cavforge.layout import default_layout, validate_layout
 
 MANIFEST = Path(__file__).resolve().parent / "golden" / "manifest.json"
 BUILD_SEEDS = (42, 7, 43)
 DRIFT_TRIALS = range(12)
-# perfbench/workloads.py's drift workload: its stream tag, knob creep band
-# and recovery stream.
+# perfbench/workloads.py's drift workload stream tag
 _DRIFT_TAG = 303
-_CREEP_DEG = (30.0, 60.0)
 
 
 def _sha256(data: bytes) -> str:
@@ -62,16 +60,7 @@ def build_entries(seed: int, out: Path) -> dict:
 
 def drift_entry(built, trial_index: int) -> dict:
     """One benchmark drift trial, run as ``perfbench/workloads.py`` runs it."""
-    roles = pipeline.resolve_roles(built.layout)
-    mirrors = [roles.ic, roles.oc]
-    seed = int(np.random.SeedSequence([_DRIFT_TAG, trial_index]).generate_state(1)[0])
-    trial = dataclasses.replace(built, ws=simcore.reseed(built.ws, seed),
-                                log=list(built.log))
-    trial.ws = simcore.randomize_knobs(trial.ws, mirrors, *_CREEP_DEG)
-    before = pipeline.surveillance_tick(trial)
-    report = pipeline.recover_drift(trial, rng=np.random.default_rng(
-        np.random.SeedSequence([_DRIFT_TAG, trial_index, 2])))
-    after = pipeline.surveillance_tick(trial)
+    trial, before, after, report = drift_trial(built, _DRIFT_TAG, trial_index)
     knobs = [(c.id, c.knobs.h_deg, c.knobs.v_deg)
              for c in trial.ws.components if c.knobs is not None]
     fingerprint = repr((before, after, report.to_dict(), knobs,

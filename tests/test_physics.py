@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from _benches import bench, camera, lens, make_cavity, mirror, pump
+from _benches import (bench, camera, lens, make_cavity, mirror, primary_hit,
+                      pump)
 from cavforge import physics
 from cavforge.errors import MissingComponentError, TraceError, WorkspaceError
 from cavforge.physics import (CameraFrame, PhysicsConfig, beam_radius,
                               camera_view, cavity_response,
-                              fluorescence_power, primary_hit, q_at_waist,
-                              trace_beam)
+                              fluorescence_power, q_at_waist, trace_beam)
 from cavforge.simcore import (Component, ComponentKind, Pose, Workspace,
                               inject_displacement, set_knob_readings)
 from cavforge.vision import beam_stats, centroid, sensor_center_px
