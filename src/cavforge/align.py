@@ -323,6 +323,10 @@ _SPACE_FILLING_CANDIDATES = 1024
 # (Torczon, SIAM J. Optim. 1997).
 _STENCIL_ROUNDS = 8
 _STENCIL_ROWS = 81
+# The model step fits the evaluations whose cost is at most this fraction of
+# the best (at least 2d + 2 of them, for 2d + 1 coefficients): on a negated
+# score, the ones within a tenth of the best score.
+_MODEL_BRIGHT_FRACTION = 0.1
 
 # SciPy takes about 0.4 s to import and only the GP search uses it, so these
 # stay unbound until the search first needs them; _load_scipy binds them once.
@@ -525,17 +529,57 @@ def _propose(rng, bounds, X, y, length_scale, noise_scale, exploit=False):
             pick, value = points[i].copy(), scored[i]
         else:
             half = half / 2.0
-    span = float(np.mean(hi - lo))
-    if cdist(pick[None, :], observed).min() < 1e-8 * span:
+    if _is_observed(pick, observed, b):
         pick = _space_filling(rng, b, observed)
     return pick
+
+
+def _is_observed(point, observed, bounds) -> bool:
+    """Whether ``point`` repeats an observation, to within 1e-8 of the box's
+    mean width."""
+    _load_scipy()
+    span = float(np.mean(bounds[:, 1] - bounds[:, 0]))
+    return bool(cdist(point[None, :], observed).min() < 1e-8 * span)
+
+
+def _model_vertex(bounds, X, y, tried: int):
+    """The vertex of a separable quadratic fitted to the bright evaluations.
+
+    Bright evaluations cost at most ``_MODEL_BRIGHT_FRACTION`` of the best.
+    Once there are 2d + 2 of them, and more than the ``tried`` of the last
+    attempt, ``cost = c + g.z + q.z^2`` is fitted to them by least squares,
+    with ``z = (x - mid) / half_width`` the box-normalized probe (the
+    diagonal model of Powell's NEWUOA, 2006). Returns the vertex ``z* = -g /
+    (2q)``, clipped to the box, if every ``q`` is positive and the vertex is
+    no observed point, else ``None``; and the bright count to pass as
+    ``tried`` next time.
+    """
+    values = np.asarray(y, dtype=float)
+    bright = values <= _MODEL_BRIGHT_FRACTION * values.min()
+    n = int(np.count_nonzero(bright))
+    d = bounds.shape[0]
+    if n < 2 * d + 2 or n <= tried:
+        return None, tried
+    mid = bounds.mean(axis=1)
+    half = (bounds[:, 1] - bounds[:, 0]) / 2.0
+    observed = np.vstack(X)
+    z = (observed[bright] - mid) / half
+    design = np.hstack([np.ones((n, 1)), z, z * z])
+    coef = np.linalg.lstsq(design, values[bright], rcond=None)[0]
+    g, q = coef[1:d + 1], coef[d + 1:]
+    if not (np.isfinite(coef).all() and np.all(q > 0.0)):
+        return None, n
+    vertex = mid + half * np.clip(-g / (2.0 * q), -1.0, 1.0)
+    if _is_observed(vertex, observed, bounds):
+        return None, n
+    return vertex, n
 
 
 def bayesian_optimize(objective, bounds, rng: np.random.Generator, *,
                       max_iters: int = 30, init_samples: int = 5,
                       length_scale: float = 15.0, noise_scale: float = 1e-4,
                       success_cost=None, no_signal_cost=None,
-                      exploit_every: int = 0):
+                      exploit_every: int = 0, model_step: bool = False):
     """Minimize a black-box objective inside a box with a GP surrogate.
 
     Starts from a Latin-hypercube batch (always evaluated in full), then
@@ -551,6 +595,16 @@ def bayesian_optimize(objective, bounds, rng: np.random.Generator, *,
     need this hedge: their far field stays high, so the surrogate's
     reversion to the prior mean keeps unexplored corners looking better
     than the true basin.
+
+    ``model_step=True`` suits a cost that is a separable quadratic in the
+    parameters near its minimum, such as a negated intensity that falls
+    with a sum of squared tilts. Before each proposal, once the evaluations
+    within a tenth of the best have grown in number since the last try, it
+    fits that model to them and evaluates its vertex instead
+    (:func:`_model_vertex`); a fit with a non-positive curvature, or a
+    vertex already observed, leaves the proposal to the GP. Vertices count
+    against ``max_iters`` like any evaluation, the best point is returned
+    whether or not one was, and ``meta["model_steps"]`` counts them.
 
     ``no_signal_cost`` marks the sentinel the objective returns when it sees
     nothing at all. If the whole initial batch comes back at or above it,
@@ -596,14 +650,22 @@ def bayesian_optimize(objective, bounds, rng: np.random.Generator, *,
             raise BeamLostError(
                 "no signal in the initial batch even after widening the "
                 "search box", trace=trace)
-    proposals = 0
+    proposals = steps = tried = 0
     while len(y) < max_iters and not succeeded():
+        if model_step:
+            vertex, tried = _model_vertex(b, X, y, tried)
+            if vertex is not None:
+                steps += 1
+                evaluate(vertex)
+                continue
         proposals += 1
         exploit = exploit_every > 0 and proposals % exploit_every == 0
         evaluate(_propose(rng, b, X, y, length_scale, noise_scale,
                           exploit=exploit))
     trace.converged = succeeded() if success_cost is not None else True
     trace.meta["success_cost"] = success_cost
+    if model_step:
+        trace.meta["model_steps"] = steps
     return trace.best_params, trace.best_objective, trace
 
 
@@ -844,9 +906,14 @@ def optimize_mode(ws: Workspace, mirror_ids, camera_id: str,
     only when a fundamental-mode reference width is supplied; a dark frame
     scores zero. The box spans ``span_deg`` either side of each starting
     reading, within ``KNOB_DEG``. Stops early once the score reaches
-    ``success_value``. The trace's ``meta`` names the objective and the
-    reference width, ``None`` when the score is the intensity alone. Its
-    ``last_view`` holds the last evaluation's workspace and frame.
+    ``success_value``. The plain total intensity (``I_over_M2`` with no
+    reference width) is a separable quadratic in the readings while the
+    cavity lases, so that score turns on the search's model step
+    (:func:`bayesian_optimize`); every other score searches with the GP
+    alone. The trace's ``meta`` names the objective and the reference width,
+    ``None`` when the score is the intensity alone, and then counts the
+    ``model_steps``. Its ``last_view`` holds the last evaluation's workspace
+    and frame.
     """
     if objective_kind not in ("sqrtI_over_M2", "I_over_M2"):
         raise WorkspaceError(f"unknown objective kind {objective_kind!r}")
@@ -861,7 +928,8 @@ def optimize_mode(ws: Workspace, mirror_ids, camera_id: str,
     ws, trace = _knob_search(
         ws, mirror_ids, camera_id, rng, span_deg, cost,
         max_iters=max_iters, init_samples=init_samples,
-        length_scale=length_scale_deg, success_cost=success_cost)
+        length_scale=length_scale_deg, success_cost=success_cost,
+        model_step=not root and sigma_ref_px is None)
     trace.meta.update(camera=camera_id,
                       knob_axes=[[cid, axis] for cid in mirror_ids for axis in ("h", "v")],
                       objective=f"neg_{objective_kind}", sigma_ref_px=sigma_ref_px)

@@ -712,13 +712,16 @@ def recover_drift(state: PipelineState, rng=None,
     misalignment, and stops once it reaches ``_DRIFT_STOP_FRACTION`` of the
     baseline intensity; intensity over beam quality, the score the bench is
     judged on, drops threefold at each mode boundary, and a search on it
-    tends to park on the first higher-order shelf it finds. A round that
-    ends with less intensity than its predecessor is rolled back, to the
-    readings saved after the best round. Rounds share the ``max_iters``
-    evaluation budget. After each round the intensity-over-quality ratio to
-    the baseline is read once at the best readings; the search stops, and
-    the recovery succeeds, once it reaches ``_DRIFT_SUCCESS_FRACTION``. The
-    report carries that last ratio.
+    tends to park on the first higher-order shelf it finds. The total
+    intensity is also the score on which :func:`~cavforge.align.optimize_mode`
+    takes model steps, to the vertex of a separable quadratic fitted to the
+    bright evaluations; each round's summary counts its ``model_steps``
+    among its evaluations. A round that ends with less intensity than its
+    predecessor is rolled back, to the readings saved after the best
+    round. Rounds share the ``max_iters`` evaluation budget. After each
+    round the intensity-over-quality ratio to the baseline is read once at
+    the best readings; the search stops, and the recovery succeeds, once it
+    reaches ``_DRIFT_SUCCESS_FRACTION``. The report carries that last ratio.
     """
     _require_complete(state)
     if max_iters < 1:

@@ -7,9 +7,13 @@ import scipy.special
 from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
+from hypothesis import given, settings, strategies as st
+
+from cavforge import align
 from cavforge.align import (_LHS_CANDIDATES, _MESH_PER_AXIS, GaussianProcess,
-                            _propose, _stencil, bayesian_optimize,
-                            expected_improvement, latin_hypercube)
+                            _model_vertex, _propose, _stencil,
+                            bayesian_optimize, expected_improvement,
+                            latin_hypercube)
 from cavforge.errors import BeamLostError, WorkspaceError
 
 BOWL_ARGS = dict(max_iters=25, init_samples=6, length_scale=1.2,
@@ -512,3 +516,113 @@ def test_latin_hypercube_is_the_column_stack_form(d):
         got = latin_hypercube(rng, bounds, n)
         assert got.tobytes() == want.tobytes() and got.shape == want.shape
         assert rng.bit_generator.state == twin.bit_generator.state
+
+
+# A negated intensity that falls with a weighted sum of squared offsets, the
+# shape the model step assumes: -200 at the centre and within a tenth of that
+# everywhere in the [-3, 3]^4 box, so every evaluation is bright. It is
+# centred where the 4-D bump is.
+_WELL_BOX = [(-3.0, 3.0)] * 4
+
+
+def _well(curvature, center=_BUMP_CENTER):
+    def cost(params):
+        return -200.0 + sum(a * (p - c) ** 2
+                            for a, p, c in zip(curvature, params, center))
+    return cost
+
+
+def _histories(objective, seed, **kwargs):
+    """The evaluations of runs with the model step on and off."""
+    runs = [bayesian_optimize(objective, _WELL_BOX, np.random.default_rng(seed),
+                              length_scale=1.5, model_step=on, **kwargs)[2]
+            for on in (True, False)]
+    return runs, [[(it.params, it.objective) for it in run.iterations]
+                  for run in runs]
+
+
+def test_the_first_model_step_lands_on_a_separable_minimum():
+    (on, off), _ = _histories(_well((1.0, 2.0, 0.5, 3.0)), 3,
+                              max_iters=11, init_samples=10)
+    # ten bright points fit the nine coefficients, so the eleventh
+    # evaluation is the vertex
+    assert on.meta["model_steps"] == 1
+    np.testing.assert_allclose(on.iterations[10].params, _BUMP_CENTER, rtol=0.0,
+                               atol=1e-6)
+    assert on.best_objective == pytest.approx(-200.0, abs=1e-9)
+    assert off.best_objective > -199.0
+    assert "model_steps" not in off.meta
+
+
+def test_a_model_step_before_any_gp_fit_loads_scipy_itself(monkeypatch):
+    # as in a fresh process: the first step's duplicate check needs cdist
+    for name in ("cho_factor", "get_lapack_funcs", "cdist", "ndtr"):
+        monkeypatch.setattr(align, name, None)
+    _, _, trace = bayesian_optimize(
+        _well((1.0, 2.0, 0.5, 3.0)), _WELL_BOX, np.random.default_rng(3),
+        max_iters=11, init_samples=10, length_scale=1.5, model_step=True)
+    assert trace.meta["model_steps"] == 1
+
+
+def test_a_non_positive_curvature_leaves_every_proposal_to_the_gp():
+    (on, _), (with_step, without) = _histories(
+        _well((1.0, 2.0, -0.5, 3.0)), 3, max_iters=16, init_samples=10)
+    assert on.meta["model_steps"] == 0
+    assert with_step == without
+
+
+def test_fewer_than_ten_bright_points_take_no_step():
+    (on, _), (with_step, without) = _histories(
+        _well((1.0, 2.0, 0.5, 3.0)), 3, max_iters=10, init_samples=9)
+    assert on.meta["model_steps"] == 0
+    assert with_step == without
+    # the helper itself: nine bright points and a dim tenth, then ten
+    b = np.array(_WELL_BOX)
+    X = list(latin_hypercube(np.random.default_rng(0), b, 10))
+    y = [_well((1.0, 2.0, 0.5, 3.0))(x) for x in X]
+    assert _model_vertex(b, X, y[:9] + [-1.0], 0) == (None, 0)
+    vertex, tried = _model_vertex(b, X, y, 0)
+    assert tried == 10
+    np.testing.assert_allclose(vertex, _BUMP_CENTER, rtol=0.0, atol=1e-6)
+    # the same ten bright points again: the count has not grown
+    assert _model_vertex(b, X, y, 10) == (None, 10)
+
+
+def test_a_vertex_on_an_observed_point_falls_back_to_the_gp(monkeypatch):
+    # the minimum lies outside the box, so every fit's clipped vertex is the
+    # same corner: the first step probes it, the later fits find it observed
+    proposed = []
+    propose = align._propose
+
+    def spy(*args, **kwargs):
+        proposed.append(propose(*args, **kwargs))
+        return proposed[-1]
+
+    monkeypatch.setattr(align, "_propose", spy)
+    _, _, trace = bayesian_optimize(
+        _well((0.1, 0.1, 0.1, 0.1), center=(5.0, -5.0, 5.0, -5.0)), _WELL_BOX,
+        np.random.default_rng(3), max_iters=13, init_samples=10,
+        length_scale=1.5, model_step=True)
+    assert trace.meta["model_steps"] == 1
+    assert trace.iterations[10].params == (3.0, -3.0, 3.0, -3.0)
+    assert len(proposed) == 2
+    assert [it.params for it in trace.iterations[11:]] \
+        == [tuple(p) for p in proposed]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 16),
+       center=st.lists(st.floats(-6.0, 6.0), min_size=4, max_size=4),
+       curvature=st.lists(st.floats(-1.0, 3.0), min_size=4, max_size=4),
+       shift=st.floats(-2.0, 2.0), max_iters=st.integers(1, 16))
+def test_model_steps_stay_inside_the_box_and_the_budget(seed, center, curvature,
+                                                        shift, max_iters):
+    bounds = [(-3.0 + shift, 1.0 + shift), (-1.0, 3.0), (0.0, 0.5), (-4.0, 4.0)]
+    _, _, trace = bayesian_optimize(
+        _well(curvature, center), bounds, np.random.default_rng(seed),
+        max_iters=max_iters, init_samples=10, length_scale=1.5, model_step=True)
+    assert len(trace) <= max_iters
+    assert trace.meta["model_steps"] <= max(0, len(trace) - 10)
+    lo, hi = np.array(bounds).T
+    for it in trace.iterations:
+        assert np.all(np.asarray(it.params) >= lo) and np.all(np.asarray(it.params) <= hi)

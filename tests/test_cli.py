@@ -550,21 +550,32 @@ def test_commands_that_never_search_do_not_load_scipy(built_dir, tmp_path):
 
 def test_build_does_not_depend_on_the_blas_thread_count(tmp_path):
     # The determinism contract holds whether OpenBLAS runs one thread or
-    # its default pool.
+    # its default pool: for a build, and for a drift recovery on it whose
+    # rounds take model steps (least-squares fits) as well as GP proposals.
     single = {**_checkout_env(), "OPENBLAS_NUM_THREADS": "1"}
     pooled = {k: v for k, v in _checkout_env().items()
               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     for name, env in (("single", single), ("pooled", pooled)):
-        proc = subprocess.run(
-            [sys.executable, "-m", "cavforge", "build", "--seed", "42",
-             "--out", str(tmp_path / name)],
-            capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
+        build, drift = str(tmp_path / name), str(tmp_path / f"{name}-drift")
+        for argv in (["build", "--seed", "42", "--out", build],
+                     ["perturb", "knobs", "--out", drift],
+                     ["recover", "--out", drift, "--seed", "5"]):
+            if argv[0] == "perturb":
+                shutil.copytree(build, drift)
+            proc = subprocess.run([sys.executable, "-m", "cavforge", *argv],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
     names = sorted(p.name for p in (tmp_path / "single").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "pooled").iterdir())
     for name in names:
         assert (tmp_path / "single" / name).read_bytes() \
             == (tmp_path / "pooled" / name).read_bytes(), name
+    recovery = json.loads((tmp_path / "single-drift" / "recovery.json").read_text())
+    assert recovery["success"]
+    assert sum(r["model_steps"] for r in recovery["details"]["rounds"]) == 3
+    for name in ("state.json", "recovery.json"):
+        assert (tmp_path / "single-drift" / name).read_bytes() \
+            == (tmp_path / "pooled-drift" / name).read_bytes(), name
 
 
 def test_module_entry_point_runs_from_a_checkout():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from _benches import make_cavity
-from cavforge import pipeline
+from cavforge import align, pipeline
 from cavforge.errors import (ConstructionError, NoLasingError,
                              NoSnapshotError, WorkspaceError)
 from cavforge.layout import default_layout, validate_layout
@@ -208,6 +208,42 @@ def test_recover_drift_renders_one_frame_per_evaluation_and_one_per_round(
     # second's reuses the frame of the evaluation that stopped it.
     assert report.iterations == 26
     assert len(frames) == 27
+
+
+def test_each_drift_round_counts_the_model_steps_it_evaluated(state, built,
+                                                            monkeypatch):
+    vertices, rounds = [], []
+    model_vertex = align._model_vertex
+
+    def spy(*args):
+        vertex, tried = model_vertex(*args)
+        if vertex is not None:
+            vertices.append(tuple(vertex))
+        return vertex, tried
+
+    optimize_mode = pipeline.optimize_mode
+
+    def recorded(*args, **kwargs):
+        taken = len(vertices)
+        ws, trace = optimize_mode(*args, **kwargs)
+        rounds.append((trace, vertices[taken:]))
+        return ws, trace
+
+    monkeypatch.setattr(align, "_model_vertex", spy)
+    monkeypatch.setattr(pipeline, "optimize_mode", recorded)
+    state.ws = randomize_knobs(state.ws, ["ic", "oc"], 30.0, 60.0)
+    report = recover_drift(state, rng=np.random.default_rng(5))
+    assert len(vertices) == 3  # rounds of 18 and 12 evaluations, 1 and 2 steps
+    summaries = report.details["rounds"]
+    assert len(summaries) == len(rounds)
+    for (trace, taken), summary in zip(rounds, summaries):
+        params = [it.params for it in trace.iterations]
+        assert all(vertex in params for vertex in taken)
+        assert summary["model_steps"] == trace.meta["model_steps"] == len(taken)
+    # step 11 scores quality too, so its search takes no model step and its
+    # trace.jsonl event has no count
+    [mode] = [e for e in built.log if e["action"] == "optimize mode"]
+    assert "model_steps" not in mode["measurement"]
 
 
 def test_recover_drift_succeeds_exactly_when_the_ratio_clears_90_percent(built):

@@ -18,7 +18,11 @@ and ticks again. The recovery generator is S0 = ``SeedSequence([303, i,
 k = 1..11; the held-out tags 505, 606, 707, 808 and 909 replace 303 on
 S0-style streams. Each failure is listed with its trial, ratio, the status
 of the tick that follows and the transverse mode the cavity lases in. The
-set S0-S2 plus tags 505 and 606 is also counted on its own.
+set S0-S2 plus tags 505 and 606 is also counted on its own. Each stream
+reports its failures, its mean evaluations, the model steps its searches
+took (the ``model_steps`` of each round's summary), the recoveries that
+reach a third and a fourth round, and the rounds rolled back to the best
+round's readings; the pooled mean evaluations come with the totals.
 
 ``builds`` lists the output power and mode order of builds of seeds 1-28,
 with their median, mean and minimum.
@@ -52,16 +56,35 @@ def streams():
         yield str(tag), tag, ()
 
 
+def _rollbacks(rounds) -> int:
+    """Rounds of one recovery that ended no better than the best before
+    them, so ``recover_drift`` turned the knobs back to its readings."""
+    best, count = float("inf"), 0
+    for r in rounds:
+        if r["best_objective"] < best:
+            best = r["best_objective"]
+        else:
+            count += 1
+    return count
+
+
 def drift_report() -> dict:
     layout = cavforge.validate_layout(cavforge.default_layout())
     state = cavforge.run_construction(layout)
     per_stream = {}
     failures = []
+    total_evaluations = 0
     for name, tag, suffix in streams():
-        failed = evaluations = 0
+        failed = evaluations = steps = rollbacks = 0
+        reached = {3: 0, 4: 0}
         for trial in TRIALS:
             run, _, after, report = drift_trial(state, tag, trial, suffix)
             evaluations += report.iterations
+            rounds = report.details["rounds"]
+            steps += sum(r.get("model_steps", 0) for r in rounds)
+            rollbacks += _rollbacks(rounds)
+            for n in reached:
+                reached[n] += len(rounds) >= n
             if not report.success:
                 failed += 1
                 mode = physics.cavity_response(run.ws).mode_order
@@ -69,11 +92,17 @@ def drift_report() -> dict:
                                  "ratio": round(report.ratio, 6),
                                  "after": after["status"], "mode_order": mode})
         per_stream[name] = {"failed": failed,
-                            "mean_evaluations": round(evaluations / len(TRIALS), 3)}
+                            "mean_evaluations": round(evaluations / len(TRIALS), 3),
+                            "model_steps": steps,
+                            "reached_round_3": reached[3],
+                            "reached_round_4": reached[4],
+                            "rollbacks": rollbacks}
+        total_evaluations += evaluations
     roadmap = [f for f in failures if f["stream"] in ROADMAP_STREAMS]
     return {
         "recoveries": len(per_stream) * len(TRIALS),
         "failed": len(failures),
+        "mean_evaluations": round(total_evaluations / (len(per_stream) * len(TRIALS)), 3),
         "failures": failures,
         "roadmap_set": {
             "streams": list(ROADMAP_STREAMS),
